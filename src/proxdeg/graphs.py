@@ -4,24 +4,64 @@ Public builders: ``gabriel``, ``rng_graph``, ``yao`` and
 ``unit_disk_graph``, plus quadratic reference implementations
 (``gabriel_naive``, ``rng_naive``) kept as oracles for tests.
 
-The Gabriel and relative-neighborhood builders share an exact pipeline
-that avoids the all-pairs scan:
+The Gabriel and relative-neighborhood builders share one pipeline:
+Qhull's Delaunay triangulation proposes candidate pairs, and
+``_full_test`` keeps each pair whose open disk or lune holds no other
+point under the raw float64 predicates from ``geom``. Results match the
+quadratic references bit for bit once no edge is missing from the
+candidates; a spare candidate only costs time. Both graphs use the same
+candidates, as under raw-double predicates the lune graph is not always
+inside the disk graph.
 
-1. candidate pairs closer than a window radius come from a KD-tree;
-2. a vectorized probe of the 3x3 grid block around each pair midpoint
-   kills most non-edges; short pairs whose empty region fits inside a
-   fully-enumerated block are certified as edges on the spot;
-3. the remaining pairs get an exact emptiness test against the points
-   returned by a ball query that covers the whole region;
-4. pairs longer than the window are recovered separately: such an edge
-   leaves the grid cell holding its midpoint empty, with nearest-point
-   clearance at least half the edge length minus the cell half-diagonal,
-   so scanning high-clearance empty cells is a complete search.
+Completeness. In exact arithmetic the Gabriel graph lies inside the
+Delaunay graph (Matula & Sokal 1980), which holds the relative
+neighborhood graph (Toussaint 1980): a pair with an empty disk or lune
+has an empty circle through it, so it is an edge of the triangulation or
+a chord of a face of four or more cocircular points, and then a diameter
+of that face, as a shorter chord has face points strictly inside its
+disk. The raw predicates differ from exact ones only for points within
+rounding of a region's boundary, which the incircle test counts as
+cocircular: its allowance has a relative term and an absolute one, an
+ulp of the largest coordinate, for the rounding of midpoints. The
+candidates are:
 
-Kills and acceptances both evaluate the open-region predicates from
-``geom`` on raw float64 values, so results match the quadratic
-references bit for bit. The grid assumes roughly uniform density for
-speed; correctness does not depend on it.
+1. every edge of the triangulation;
+2. for adjacent triangles cocircular within the allowance: the other
+   diagonal, and each vertex with every point near its antipode on
+   either circumcircle, which finds the diameters of large cocircular
+   sets without pairing all their points;
+3. the pairs inside each hole, a connected set of triangles that are not
+   Delaunay. Qhull works on lifted coordinates, so it drops points as
+   coplanar and triangulates arbitrarily where features are below about
+   1e-8 of the bounding box. Holes start at adjacent triangles that fail
+   the incircle test, or pass it only up to rounding, and around the
+   vertex nearest each dropped point, and grow across every neighbour
+   whose circumcircle holds a point. A walk from a triangle whose circle
+   holds a point towards that point crosses only such triangles until a
+   pair fails the test, so every Delaunay edge Qhull missed joins two
+   points of one hole. Its core points get their candidates from this
+   construction run on them alone, at their own scale; every other point
+   of the hole pairs with all of them.
+
+Input too flat for Qhull is split into runs along its principal axis
+(``_line_pairs``).
+
+Range. The candidates come from the points scaled by the power of two
+that brings the largest coordinate near 1. That scaling is exact, so
+the geometry is unchanged, and the incircle terms of degree 4 cannot
+overflow. The raw predicates run on the input itself and
+follow the geometry only while squared distances stay in the normal
+range. Below it they round to subnormals, so the allowance never drops
+under 2**-500 input units and such close points fall into holes, which
+pair them all. Above it they overflow: a pair whose squared length is
+infinite has every other point with a finite distance as a witness, so
+input spanning 2**510 or more takes every pair as a candidate; its
+output can hold most pairs anyway.
+
+The argument assumes that Qhull's output is a valid triangulation of
+the points it keeps, with no overlapping triangles outside the holes;
+differential tests against the references on adversarial layouts back
+it.
 """
 
 from __future__ import annotations
@@ -30,7 +70,9 @@ import math
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import ParameterError
 from .geom import TWO_PI, ConeSpec, PointSet
@@ -38,15 +80,54 @@ from .geom import TWO_PI, ConeSpec, PointSet
 GABRIEL = "gabriel"
 RNG = "rng"
 
-# slots per grid cell kept for the vectorized probe; fuller cells fall
-# through to the ball-query test
-_PAD = 4
+# two adjacent triangles count as cocircular when their float incircle
+# value is below this fraction of its permanent
+_COCIRCULAR_TOL = 1e-9
 
-_NEIGHBOR_OFFSETS = (
-    (0, 0),
-    (-1, 0), (1, 0), (0, -1), (0, 1),
-    (-1, -1), (-1, 1), (1, -1), (1, 1),
-)
+# radius of the antipode search, as a fraction of the circle's radius
+_ANTIPODE_TOL = 1e-6
+
+# ulps of the largest coordinate allowed for the rounding of a midpoint
+_ULP_SLACK = 128.0
+
+# smallest coordinate uncertainty, as a power of two in the input's units:
+# below 2**-511 squared differences turn subnormal and round coarsely
+_FLOOR_EXP = -500
+
+# raw spans from this power of two on can overflow squared distances
+_OVERFLOW_EXP = 510
+
+_EPS = float(np.finfo(np.float64).eps)
+
+# nearest points to a pair's midpoint fetched before its whole ball
+_NEAREST = 8
+
+
+def _canonical(n, pairs, what, undirected):
+    """Validate a vertex count and an (m, 2) array of vertex pairs, and
+    return both canonical: a read-only int64 array of distinct pairs in
+    lexicographic order, each with u < v when ``undirected``."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        raise ParameterError(f"vertex count must be a nonnegative int, got {n!r}")
+    n = int(n)
+    e = np.asarray([] if pairs is None else pairs, dtype=np.int64)
+    if e.size == 0:
+        e = np.empty((0, 2), dtype=np.int64)
+    elif e.ndim != 2 or e.shape[1] != 2:
+        raise ParameterError(f"{what}s must be an (m, 2) array, got shape {e.shape}")
+    else:
+        if e.min() < 0 or e.max() >= n:
+            raise ParameterError(f"{what} endpoint out of range")
+        if (e[:, 0] == e[:, 1]).any():
+            raise ParameterError("self loops are not allowed")
+        if undirected:
+            e = np.sort(e, axis=1)
+        # rows sort in the order of their keys u * n + v
+        key = np.sort(e[:, 0] * n + e[:, 1])
+        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+        e = np.column_stack([key // n, key % n])
+    e.setflags(write=False)
+    return n, e
 
 
 class Graph:
@@ -59,26 +140,7 @@ class Graph:
     __slots__ = ("n", "_edges", "_adj")
 
     def __init__(self, n, edges=None):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-            raise ParameterError(f"vertex count must be a nonnegative int, got {n!r}")
-        n = int(n)
-        if edges is None:
-            e = np.empty((0, 2), dtype=np.int64)
-        else:
-            e = np.asarray(edges, dtype=np.int64)
-            if e.size == 0:
-                e = np.empty((0, 2), dtype=np.int64)
-            elif e.ndim != 2 or e.shape[1] != 2:
-                raise ParameterError(f"edges must be an (m, 2) array, got shape {e.shape}")
-            else:
-                if e.min() < 0 or e.max() >= n:
-                    raise ParameterError("edge endpoint out of range")
-                if (e[:, 0] == e[:, 1]).any():
-                    raise ParameterError("self loops are not allowed")
-                e = np.unique(np.sort(e, axis=1), axis=0)
-        e.setflags(write=False)
-        self.n = n
-        self._edges = e
+        self.n, self._edges = _canonical(n, edges, "edge", undirected=True)
         self._adj = None
 
     @property
@@ -129,26 +191,7 @@ class DiGraph:
     __slots__ = ("n", "_arcs")
 
     def __init__(self, n, arcs=None):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-            raise ParameterError(f"vertex count must be a nonnegative int, got {n!r}")
-        n = int(n)
-        if arcs is None:
-            a = np.empty((0, 2), dtype=np.int64)
-        else:
-            a = np.asarray(arcs, dtype=np.int64)
-            if a.size == 0:
-                a = np.empty((0, 2), dtype=np.int64)
-            elif a.ndim != 2 or a.shape[1] != 2:
-                raise ParameterError(f"arcs must be an (m, 2) array, got shape {a.shape}")
-            else:
-                if a.min() < 0 or a.max() >= n:
-                    raise ParameterError("arc endpoint out of range")
-                if (a[:, 0] == a[:, 1]).any():
-                    raise ParameterError("self loops are not allowed")
-                a = np.unique(a, axis=0)
-        a.setflags(write=False)
-        self.n = n
-        self._arcs = a
+        self.n, self._arcs = _canonical(n, arcs, "arc", undirected=False)
 
     @property
     def edges(self) -> np.ndarray:
@@ -218,301 +261,274 @@ def _as_point_set(points) -> PointSet:
 # Gabriel / relative-neighborhood pipeline
 
 
-class _Grid:
-    """Uniform grid over the point bounding box, sized for about one
-    point per cell, with a fixed-width slot table for the probe."""
-
-    __slots__ = ("x0", "y0", "s", "nx", "ny", "occ", "slots")
-
-    def __init__(self, P: np.ndarray):
-        n = len(P)
-        x0 = float(P[:, 0].min())
-        y0 = float(P[:, 1].min())
-        w = float(P[:, 0].max()) - x0
-        h = float(P[:, 1].max()) - y0
-        area = w * h
-        if area > 0.0:
-            s = math.sqrt(area / n)
-        else:
-            s = max(w, h) / (8.0 * math.sqrt(n) + 1.0)
-        if s <= 0.0:
-            s = 1.0
-        # cap the cell count so the slot table stays small even for thin
-        # bounding boxes
-        while (int(w / s) + 1) * (int(h / s) + 1) > 8 * n + 64:
-            s *= 2.0
-        self.x0 = x0
-        self.y0 = y0
-        self.s = s
-        self.nx = int(w / s) + 1
-        self.ny = int(h / s) + 1
-        cells = self.cell_of(P)
-        ncells = self.nx * self.ny
-        self.occ = np.bincount(cells, minlength=ncells)
-        order = np.argsort(cells, kind="stable")
-        sc = cells[order]
-        rank = np.arange(n, dtype=np.int64) - np.searchsorted(sc, sc, side="left")
-        slots = np.full((ncells, _PAD), -1, dtype=np.int32)
-        keep = rank < _PAD
-        slots[sc[keep], rank[keep]] = order[keep]
-        self.slots = slots
-
-    def cell_xy(self, pts: np.ndarray):
-        cx = ((pts[:, 0] - self.x0) / self.s).astype(np.int64)
-        cy = ((pts[:, 1] - self.y0) / self.s).astype(np.int64)
-        np.clip(cx, 0, self.nx - 1, out=cx)
-        np.clip(cy, 0, self.ny - 1, out=cy)
-        return cx, cy
-
-    def cell_of(self, pts: np.ndarray) -> np.ndarray:
-        cx, cy = self.cell_xy(pts)
-        return cx * self.ny + cy
+def _ball_pairs(tree, rows, centres, radii):
+    """(row, point) pairs for every point of ``tree`` within each ball."""
+    lists = tree.query_ball_point(centres, radii)
+    cnt = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    hits = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(cnt.sum()))
+    return np.repeat(rows, cnt), hits
 
 
-def _probe_chunk(P, grid, u, v, kind):
-    """Classify candidate pairs against the 3x3 cell block around each
-    midpoint. Returns (edge, dead) masks; pairs with neither set still
-    need the full emptiness test."""
-    m = len(u)
-    Pu = P[u]
-    Pv = P[v]
-    mx = (Pu[:, 0] + Pv[:, 0]) / 2.0
-    my = (Pu[:, 1] + Pv[:, 1]) / 2.0
-    dx = Pv[:, 0] - Pu[:, 0]
-    dy = Pv[:, 1] - Pu[:, 1]
-    duv2 = dx * dx + dy * dy
-    s = grid.s
+def _inside(P, wit, u, v, mid, duv2, kind):
+    """Whether each point ``wit`` lies strictly inside the open region of
+    the pair (u, v) in the same row; never for u and v themselves."""
+    wx = P[wit, 0]
+    wy = P[wit, 1]
     if kind == GABRIEL:
-        # open disk of radius d/2 around the midpoint fits in the block
-        short = duv2 < 4.0 * s * s
+        ddx = wx - mid[:, 0]
+        ddy = wy - mid[:, 1]
+        inside = ddx * ddx + ddy * ddy < duv2 / 4.0
     else:
-        # open lune fits in a square of half-side sqrt(3)/2 * d
-        short = duv2 < (4.0 / 3.0) * s * s
-    cx = np.clip(((mx - grid.x0) / s).astype(np.int64), 0, grid.nx - 1)
-    cy = np.clip(((my - grid.y0) / s).astype(np.int64), 0, grid.ny - 1)
-
-    alive = np.arange(m, dtype=np.int64)
-    dead = np.zeros(m, dtype=bool)
-    clean = np.ones(m, dtype=bool)
-    for ox, oy in _NEIGHBOR_OFFSETS:
-        if len(alive) == 0:
-            break
-        ax = cx[alive] + ox
-        ay = cy[alive] + oy
-        inb = (ax >= 0) & (ax < grid.nx) & (ay >= 0) & (ay < grid.ny)
-        if inb.any():
-            sub = alive[inb]
-            cid = ax[inb] * grid.ny + ay[inb]
-            clean[sub] &= grid.occ[cid] <= _PAD
-            kill = np.zeros(len(sub), dtype=bool)
-            if kind == GABRIEL:
-                smx = mx[sub]
-                smy = my[sub]
-                sd2q = duv2[sub] / 4.0
-            else:
-                sux = Pu[sub, 0]
-                suy = Pu[sub, 1]
-                svx = Pv[sub, 0]
-                svy = Pv[sub, 1]
-                sd2 = duv2[sub]
-            su = u[sub]
-            sv = v[sub]
-            for sl in range(_PAD):
-                w = grid.slots[cid, sl].astype(np.int64)
-                has = w >= 0
-                if not has.any():
-                    break
-                wi = np.where(has, w, 0)
-                wx = P[wi, 0]
-                wy = P[wi, 1]
-                if kind == GABRIEL:
-                    ddx = wx - smx
-                    ddy = wy - smy
-                    inside = ddx * ddx + ddy * ddy < sd2q
-                else:
-                    dux = wx - sux
-                    duy = wy - suy
-                    dvx = wx - svx
-                    dvy = wy - svy
-                    inside = (dux * dux + duy * duy < sd2) & (dvx * dvx + dvy * dvy < sd2)
-                inside &= has & (w != su) & (w != sv)
-                kill |= inside
-            if kill.any():
-                dead[sub[kill]] = True
-        alive = alive[~dead[alive]]
-    edge = short & clean & ~dead
-    return edge, dead
+        dux = wx - P[u, 0]
+        duy = wy - P[u, 1]
+        dvx = wx - P[v, 0]
+        dvy = wy - P[v, 1]
+        inside = (dux * dux + duy * duy < duv2) & (dvx * dvx + dvy * dvy < duv2)
+    return inside & (wit != u) & (wit != v)
 
 
-def _full_test(P, tree, u, v, kind):
-    """Exact emptiness test for candidate pairs: fetch every point that
-    could sit in the region with a covering ball query, then apply the
-    open predicate. Returns a keep mask."""
+def _full_test(P, Q, tree, u, v, kind, slack):
+    """Exact emptiness test for candidate pairs. Returns a keep mask.
+
+    ``Q`` is P scaled by a power of two and ``tree`` indexes it; the
+    predicates run on P itself. The region lies inside a ball around the
+    rounded midpoint the Gabriel predicate uses, widened by ``slack``:
+    the lune's ball is centred off the exact midpoint, and subnormal
+    squares round coarsely. A pair whose squared length overflows has
+    its witnesses anywhere, so its ball holds every point. The nearest
+    points to the midpoint settle most pairs: a witness among them kills
+    the pair, and when the farthest of them lies outside the ball they
+    are all the ball holds. The rest fetch their whole ball."""
     m = len(u)
+    k = min(_NEAREST, len(P))
     out = np.zeros(m, dtype=bool)
     B = 32768
     for lo in range(0, m, B):
         uu = u[lo:lo + B]
         vv = v[lo:lo + B]
         mb = len(uu)
-        Pu = P[uu]
-        Pv = P[vv]
-        mid = (Pu + Pv) / 2.0
-        dx = Pv[:, 0] - Pu[:, 0]
-        dy = Pv[:, 1] - Pu[:, 1]
+        mid = (P[uu] + P[vv]) / 2.0
+        dx = P[vv, 0] - P[uu, 0]
+        dy = P[vv, 1] - P[uu, 1]
         duv2 = dx * dx + dy * dy
-        d = np.sqrt(duv2)
-        if kind == GABRIEL:
-            r = 0.5 * d * (1.0 + 1e-9)
-        else:
-            r = (math.sqrt(3.0) / 2.0) * d * (1.0 + 1e-9)
-        lists = tree.query_ball_point(mid, r)
-        cnt = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        total = int(cnt.sum())
-        bad = np.zeros(mb, dtype=bool)
-        if total:
-            rep = np.repeat(np.arange(mb, dtype=np.int64), cnt)
-            wit = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=total)
-            keep = (wit != uu[rep]) & (wit != vv[rep])
-            wit = wit[keep]
-            rp = rep[keep]
-            if len(wit):
-                wx = P[wit, 0]
-                wy = P[wit, 1]
-                if kind == GABRIEL:
-                    ddx = wx - mid[rp, 0]
-                    ddy = wy - mid[rp, 1]
-                    inside = ddx * ddx + ddy * ddy < duv2[rp] / 4.0
-                else:
-                    dux = wx - Pu[rp, 0]
-                    duy = wy - Pu[rp, 1]
-                    dvx = wx - Pv[rp, 0]
-                    dvy = wy - Pv[rp, 1]
-                    inside = (dux * dux + duy * duy < duv2[rp]) & (
-                        dvx * dvx + dvy * dvy < duv2[rp]
-                    )
-                if inside.any():
-                    bad = np.bincount(rp[inside], minlength=mb) > 0
-        out[lo:lo + mb] = ~bad
+        qmid = (Q[uu] + Q[vv]) / 2.0
+        dq = Q[vv] - Q[uu]
+        d = np.sqrt((dq * dq).sum(axis=1))
+        r = (0.5 if kind == GABRIEL else math.sqrt(3.0) / 2.0) * d * (1.0 + 1e-9) + slack
+        # |Q| <= 1, so this radius reaches every point
+        r[~np.isfinite(duv2)] = 4.0
+        dk, ik = tree.query(qmid, k=k)
+        rp = np.repeat(np.arange(mb), k)
+        dead = _inside(P, ik.reshape(-1), uu[rp], vv[rp], mid[rp], duv2[rp], kind)
+        dead = dead.reshape(mb, k).any(axis=1)
+        # with k == n the nearest points are all the points
+        far = dk[:, -1] if k < len(P) else np.inf
+        rows = np.flatnonzero(~dead & (far <= r))
+        rp, wit = _ball_pairs(tree, rows, qmid[rows], r[rows])
+        inside = _inside(P, wit, uu[rp], vv[rp], mid[rp], duv2[rp], kind)
+        dead[rp[inside]] = True
+        out[lo:lo + mb] = ~dead
     return out
 
 
-def _near_hull_mask(P, centers, margin):
-    """Mask of centers within margin of the convex hull of P. Midpoints
-    of point pairs lie inside the hull, so cells further out cannot hold
-    an edge midpoint."""
-    try:
-        hull = ConvexHull(P)
-    except QhullError:
-        return np.ones(len(centers), dtype=bool)
-    eq = hull.equations
-    val = centers @ eq[:, :2].T + eq[:, 2]
-    return (val <= margin).all(axis=1)
+def _ulp_slack(P, floor) -> float:
+    """Absolute coordinate uncertainty that covers the rounding of a
+    midpoint, with a wide safety factor, and at least ``floor``."""
+    return max(_ULP_SLACK * _EPS * float(np.abs(P).max()), floor)
 
 
-def _void_edges(P, grid, tree, r_w, kind):
-    """Recover edges longer than the candidate window.
+def _incircle(P, abc, d, slack):
+    """Float incircle test of points ``d`` against triangles ``abc``.
 
-    For an edge of length d > r_w the grid cell holding its midpoint is
-    empty and the cell center has nearest-point clearance at least
-    d/2 minus the cell half-diagonal. Scanning empty cells above that
-    clearance threshold and pairing the points just outside the cleared
-    ball therefore finds every long edge."""
-    s = grid.s
-    empty = np.flatnonzero(grid.occ == 0)
-    none = np.empty((0, 2), dtype=np.int64)
-    if len(empty) == 0:
-        return none
-    ecx, ecy = np.divmod(empty, grid.ny)
-    centers = np.column_stack([
-        grid.x0 + (ecx + 0.5) * s,
-        grid.y0 + (ecy + 0.5) * s,
-    ])
-    near = _near_hull_mask(P, centers, margin=s)
-    empty = empty[near]
-    centers = centers[near]
-    if len(empty) == 0:
-        return none
-    clr, _ = tree.query(centers, k=1)
-    # threshold has 0.04*s of slack under r_w/2 - s*sqrt(2)/2
-    void = clr >= 0.5 * r_w - 0.75 * s
-    empty = empty[void]
-    centers = centers[void]
-    clr = clr[void]
-    if len(empty) == 0:
-        return none
-    lim = (r_w * (1.0 - 1e-9)) ** 2
-    found = []
-    balls = tree.query_ball_point(centers, clr + 2.0 * s)
-    for cid, c, members in zip(empty, centers, balls):
-        idxs = np.asarray(members, dtype=np.int64)
-        M = len(idxs)
-        if M < 2:
-            continue
-        if M <= 1500:
-            ii, jj = np.triu_indices(M, k=1)
-            a = idxs[ii]
-            b = idxs[jj]
-        else:
-            # pair partners sit near the mirror of each point through the
-            # cell; a small ball around each mirror finds them all
-            mirror = 2.0 * c - P[idxs]
-            cand = tree.query_ball_point(mirror, 1.5 * s)
-            pairs = []
-            for t, lst in enumerate(cand):
-                it = int(idxs[t])
-                for q in lst:
-                    if q > it:
-                        pairs.append((it, q))
-                    elif q < it:
-                        pairs.append((q, it))
-            if not pairs:
-                continue
-            ab = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-            a = ab[:, 0]
-            b = ab[:, 1]
-        Pa = P[a]
-        Pb = P[b]
-        mid = (Pa + Pb) / 2.0
-        dx = Pb[:, 0] - Pa[:, 0]
-        dy = Pb[:, 1] - Pa[:, 1]
-        duv2 = dx * dx + dy * dy
-        keep = (duv2 > lim) & (grid.cell_of(mid) == cid)
-        if keep.any():
-            found.append(np.column_stack([a[keep], b[keep]]))
-    if not found:
-        return none
-    cand = np.unique(np.concatenate(found, axis=0), axis=0)
-    good = _full_test(P, tree, cand[:, 0], cand[:, 1], kind)
-    return cand[good]
+    Returns (value, allowance, noisy): value > 0 when d lies inside the
+    circumcircle; values within the allowance of zero count as
+    cocircular. The allowance covers the relative tolerance and a
+    coordinate uncertainty of ``slack``; ``noisy`` marks where the
+    latter dominates."""
+    D = P[d]
+    ax, ay = (P[abc[:, 0]] - D).T
+    bx, by = (P[abc[:, 1]] - D).T
+    cx, cy = (P[abc[:, 2]] - D).T
+    al = ax * ax + ay * ay
+    bl = bx * bx + by * by
+    cl = cx * cx + cy * cy
+    det = al * (bx * cy - cx * by) + bl * (cx * ay - ax * cy) + cl * (ax * by - bx * ay)
+    perm = (
+        al * (np.abs(bx * cy) + np.abs(cx * by))
+        + bl * (np.abs(cx * ay) + np.abs(ax * cy))
+        + cl * (np.abs(ax * by) + np.abs(bx * ay))
+    )
+    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    span = np.abs(np.column_stack([ax, ay, bx, by, cx, cy])).max(axis=1)
+    rel = _COCIRCULAR_TOL * perm
+    noise = slack * span ** 3
+    return det * np.sign(orient), rel + noise, noise > rel
 
 
-def _small_exact(P, kind):
-    """All-pairs builder for tiny inputs; shares predicate expressions
-    with the pipeline."""
+def _circumcircles(P, T):
+    """Circumcentres of triangles T and upper bounds on their radii;
+    neither is finite for a degenerate triangle."""
+    A = P[T[:, 0]]
+    b = P[T[:, 1]] - A
+    c = P[T[:, 2]] - A
+    bl = (b * b).sum(axis=1)
+    cl = (c * c).sum(axis=1)
+    cross = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.column_stack([c[:, 1] * bl - b[:, 1] * cl, b[:, 0] * cl - c[:, 0] * bl])
+        off /= 2.0 * cross[:, None]
+        r = np.hypot(off[:, 0], off[:, 1]) * (1.0 + 8.0 * _EPS * np.maximum(bl, cl) / np.abs(cross))
+    return A + off, r
+
+
+def _conflicts(P, tree, T, tris, dropped, slack):
+    """(triangle, point, strict) for each point strictly inside the
+    circumcircle of one of the triangles ``tris``, and each dropped point
+    on it. The fetch ball around a vertex has twice the radius bound, so
+    it covers the circumdisk without trusting the rounded centre."""
+    _, r = _circumcircles(P, T[tris])
+    ok = np.isfinite(r)
+    ti, pt = _ball_pairs(tree, tris[ok], P[T[tris[ok], 0]], 2.0 * r[ok] * (1.0 + 1e-9) + slack)
+    other = (T[ti] != pt[:, None]).all(axis=1)
+    ti = ti[other]
+    pt = pt[other]
+    ins, tol, _ = _incircle(P, T[ti], pt, slack)
+    keep = (ins > tol) | (dropped[pt] & (ins >= -tol))
+    return ti[keep], pt[keep], ins[keep] > tol[keep]
+
+
+def _hole_pairs(P, tree, T, nb, hole, dropped, slack, floor) -> np.ndarray:
+    """Pairs inside the holes where Qhull's triangulation is not Delaunay.
+
+    Holes grow from the seed triangles in ``hole`` across every neighbour
+    in conflict with a point, so each ends up a connected set of
+    triangles that holds every Delaunay edge Qhull missed there, with
+    both its endpoints. The core points (the conflicting points and the
+    vertices of strictly conflicting triangles) pair as this construction
+    finds for them alone; every other hole point pairs with all of the
+    hole's points."""
     n = len(P)
-    dx = P[None, :, 0] - P[:, None, 0]
-    dy = P[None, :, 1] - P[:, None, 1]
-    d2 = dx * dx + dy * dy
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2ij = d2[i, j]
-            if kind == GABRIEL:
-                mxij = (P[i, 0] + P[j, 0]) / 2.0
-                myij = (P[i, 1] + P[j, 1]) / 2.0
-                ddx = P[:, 0] - mxij
-                ddy = P[:, 1] - myij
-                inside = ddx * ddx + ddy * ddy < d2ij / 4.0
-            else:
-                inside = (d2[i] < d2ij) & (d2[j] < d2ij)
-            inside[i] = False
-            inside[j] = False
-            if not inside.any():
-                edges.append((i, j))
-    if not edges:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(edges, dtype=np.int64)
+    m = len(T)
+    found = []
+    tris = np.flatnonzero(hole)
+    while len(tris):
+        ti, pt, strict = _conflicts(P, tree, T, tris, dropped, slack)
+        found.append((ti, pt, strict))
+        hole[ti] = True
+        tris = np.setdiff1d(nb[ti].ravel(), np.flatnonzero(hole))
+        tris = tris[tris >= 0]
+    ti, pt, strict = (np.concatenate(x) for x in zip(*found))
+    t, k = np.nonzero(nb >= 0)
+    s = nb[t, k]
+    both = hole[t] & hole[s]
+    links = coo_matrix((np.ones(int(both.sum())), (t[both], s[both])), shape=(m, m))
+    label = connected_components(links, directed=False)[1]
+    core = np.zeros(n, dtype=bool)
+    core[pt] = True
+    core[T[ti[strict]].ravel()] = True
+    ht = np.flatnonzero(hole)
+    key = np.unique(
+        np.concatenate([np.repeat(label[ht], 3), label[ti]]) * n
+        + np.concatenate([T[ht].ravel(), pt])
+    )
+    labs = key // n
+    out = []
+    for members in np.split(key % n, np.flatnonzero(np.diff(labs)) + 1):
+        inner = members[core[members]]
+        a, b = np.meshgrid(members[~core[members]], members)
+        out.append(np.column_stack([a.ravel(), b.ravel()]))
+        if len(inner) == n:
+            # nothing smaller to recurse on: Qhull resolves none of it
+            out.append(np.column_stack(np.triu_indices(n, k=1)))
+        elif len(inner) >= 2:
+            out.append(inner[_candidate_pairs(P[inner], cKDTree(P[inner]), floor)])
+    return np.concatenate(out)
+
+
+def _line_pairs(P, slack):
+    """Candidate pairs from the points' order along their principal axis.
+
+    The sorted points split into runs wherever consecutive points are at
+    least ``gap`` apart along the axis. A point of a run strictly between
+    two others lies inside their diametral disk and lune by a margin above
+    ``gap**2 - (2 * width)**2``, which covers the rounding of the raw
+    predicates; so only pairs within one run or two adjacent runs remain."""
+    n = len(P)
+    c = P - P.mean(axis=0)
+    axes = np.linalg.eigh(c.T @ c)[1]
+    width = np.abs(c @ axes[:, 0]).max()
+    s = c @ axes[:, 1]
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    span = s[-1] - s[0]
+    gap = 2.0 * width + math.sqrt(slack * (span + slack) + _ULP_SLACK * _EPS * span * span)
+    run = np.concatenate([[0], np.cumsum(np.diff(s) >= gap)])
+    cnt = np.searchsorted(run, run + 2) - np.arange(n) - 1
+    i = np.repeat(np.arange(n), cnt)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return np.column_stack([order[i], order[j]])
+
+
+def _candidate_pairs(P, tree, floor) -> np.ndarray:
+    """Pairs (u, v), u != v, that include every Gabriel and every
+    relative-neighborhood edge of P; see the module docstring. ``tree``
+    indexes P, and ``floor`` bounds the coordinate uncertainty below."""
+    n = len(P)
+    slack = _ulp_slack(P, floor)
+    try:
+        tri = Delaunay(P - P.min(axis=0))
+    except QhullError:
+        return _line_pairs(P, slack)
+    T = tri.simplices.astype(np.int64)
+    if (T >= n).any():
+        # Qhull's point at infinity leaks into the output of nearly flat input
+        return _line_pairs(P, slack)
+    nb = tri.neighbors.astype(np.int64)
+    m = len(T)
+    # every edge once: where the neighbour across it has a higher index
+    t, k = np.nonzero((nb > np.arange(m)[:, None]) | (nb < 0))
+    pairs = np.column_stack([T[t, (k + 1) % 3], T[t, (k + 2) % 3]])
+    shared = nb[t, k] >= 0
+    t = t[shared]
+    k = k[shared]
+    s = nb[t, k]
+    opp = T[s, np.argmax(nb[s] == t[:, None], axis=1)]
+    ins, tol, noisy = _incircle(P, T[t], opp, slack)
+    extra = []
+    cocircular = np.abs(ins) <= tol
+    near = cocircular & ~noisy
+    # a pair cocircular only up to rounding is treated as a hole
+    bad = (ins > tol) | (cocircular & noisy)
+    if near.any():
+        # a cocircular quadrilateral's other diagonal, and the diameters of
+        # larger cocircular sets
+        tn = np.union1d(t[near], s[near])
+        centre, r = _circumcircles(P, T[tn])
+        anti = (2.0 * centre[:, None, :] - P[T[tn]]).reshape(-1, 2)
+        rad = np.repeat(_ANTIPODE_TOL * r + slack, 3)
+        ok = np.isfinite(anti).all(axis=1) & np.isfinite(rad)
+        extra.append(np.column_stack([T[t[near], k[near]], opp[near]]))
+        extra.append(np.column_stack(_ball_pairs(tree, T[tn].ravel()[ok], anti[ok], rad[ok])))
+    hole = np.zeros(m, dtype=bool)
+    hole[t[bad]] = True
+    hole[s[bad]] = True
+    dropped = np.ones(n, dtype=bool)
+    dropped[T.ravel()] = False
+    if dropped.any():
+        # Qhull dropped these as coplanar; each conflicts with a triangle
+        # at its nearest vertex
+        vert = np.flatnonzero(~dropped)
+        near_v = cKDTree(P[vert]).query(P[dropped])[1]
+        hole |= np.isin(T, vert[near_v]).any(axis=1)
+    if hole.any():
+        extra.append(_hole_pairs(P, tree, T, nb, hole, dropped, slack, floor))
+    if not extra:
+        return pairs
+    pairs = np.concatenate([pairs] + extra)
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    key = np.unique(lo[lo != hi] * n + hi[lo != hi])
+    return np.column_stack([key // n, key % n])
 
 
 def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
@@ -520,35 +536,21 @@ def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
     n = len(P)
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    if n <= 64:
-        return _small_exact(P, kind)
-    grid = _Grid(P)
-    tree = cKDTree(P)
-    r_w = 4.0 * grid.s
-    pairs = tree.query_pairs(r_w * (1.0 + 1e-12), output_type="ndarray")
-    u = pairs[:, 0].astype(np.int64)
-    v = pairs[:, 1].astype(np.int64)
-    edge_mask = np.zeros(len(u), dtype=bool)
-    full_u = []
-    full_v = []
-    B = 262144
-    for lo in range(0, len(u), B):
-        uu = u[lo:lo + B]
-        vv = v[lo:lo + B]
-        e, dead = _probe_chunk(P, grid, uu, vv, kind)
-        edge_mask[lo:lo + len(uu)] = e
-        nf = ~(e | dead)
-        if nf.any():
-            full_u.append(uu[nf])
-            full_v.append(vv[nf])
-    parts = [np.column_stack([u[edge_mask], v[edge_mask]])]
-    if full_u:
-        fu = np.concatenate(full_u)
-        fv = np.concatenate(full_v)
-        ok = _full_test(P, tree, fu, fv, kind)
-        parts.append(np.column_stack([fu[ok], fv[ok]]))
-    parts.append(_void_edges(P, grid, tree, r_w, kind))
-    return np.concatenate(parts, axis=0)
+    # scaling by a power of two is exact, so the geometry of Q is that of P,
+    # but its incircle terms of degree 4 cannot overflow
+    e = math.frexp(float(np.abs(P).max()))[1]
+    Q = np.ldexp(P, -e)
+    floor = math.ldexp(1.0, _FLOOR_EXP - e)
+    tree = cKDTree(Q)
+    with np.errstate(over="ignore"):
+        if np.ptp(P, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
+            # the raw squared distances overflow and stop following the
+            # geometry, so every pair is a candidate
+            cand = np.column_stack(np.triu_indices(n, k=1))
+        else:
+            cand = _candidate_pairs(Q, tree, floor)
+        keep = _full_test(P, Q, tree, cand[:, 0], cand[:, 1], kind, _ulp_slack(Q, floor))
+    return cand[keep]
 
 
 def gabriel(points) -> Graph:

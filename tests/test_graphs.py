@@ -1,13 +1,20 @@
 """Graph containers and the four proximity-graph builders.
 
-The fast disk-empty and lune-empty builders switch strategies with n
-(all-pairs below 65 points, grid-plus-tree pipeline above), so the
-adversarial families here all use n > 64 and compare against the
-quadratic reference builders, which share only the predicate
-expressions.  The Yao builder gets an independent pure-python oracle.
+The fast disk-empty and lune-empty builders take their candidate pairs
+from a Delaunay triangulation at every input size, so the adversarial
+families here, and the property tests on small grid sets, all compare
+them against the quadratic reference builders, which share only the
+predicate expressions. The families aim at the places where rounding
+could cost a candidate: cocircular points, points Qhull drops as
+coplanar, clusters far below the bounding box's scale, flat input,
+coordinates many ulps from zero, and coordinates whose squares overflow
+or turn subnormal. The Yao builder gets an independent pure-python
+oracle.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,18 +288,120 @@ def adversarial_families():
         [np.sort(rng.random(100)), rng.random(100) * 1e-9]
     )
 
+    # near-degenerate layouts; each one defeats some simpler way of
+    # taking candidates from a float Delaunay triangulation
+    g = np.random.default_rng(100)
+    fams["tiny-cluster"] = np.unique(
+        np.vstack([g.random((200, 2)), 0.4 + 1e-15 * g.random((60, 2))]), axis=0
+    )
+
+    fams["ulp-pair"] = np.vstack(
+        [
+            np.random.default_rng(1).random((100, 2)),
+            [[0.5, 0.5], [0.5, np.nextafter(0.5, 1.0)]],
+        ]
+    )
+
+    ulps = [0.5]
+    for _ in range(3):
+        ulps.insert(0, np.nextafter(ulps[0], 0.0))
+    for _ in range(2):
+        ulps.append(np.nextafter(ulps[-1], 1.0))
+    ux, uy = np.meshgrid(ulps, ulps)
+    fams["ulp-grid"] = np.vstack(
+        [np.column_stack([ux.ravel(), uy.ravel()]), rng.random((100, 2))]
+    )
+
+    fams["offset-1e8"] = 1e8 + rng.random((300, 2))
+
+    xs, ys = np.meshgrid(np.arange(40) / 40.0, np.arange(40) / 40.0)
+    fams["lattice-40"] = np.column_stack([xs.ravel(), ys.ravel()])
+
+    ang = 2.0 * np.pi * np.arange(400) / 400.0
+    fams["ring-400-center"] = np.vstack(
+        [np.column_stack([np.cos(ang), np.sin(ang)]), [[0.0, 0.0]]]
+    )
+
+    fams["cocircular-integers"] = np.array(
+        [
+            (x, y)
+            for x in range(-13, 14)
+            for y in range(-13, 14)
+            if x * x + y * y in (25, 65, 85, 125, 169)
+        ],
+        dtype=float,
+    )
+
+    fams["clusters-4x100"] = np.vstack(
+        [c + 1e-3 * rng.random((100, 2)) for c in rng.random((4, 2))]
+        + [rng.random((300, 2))]
+    )
+
+    # coordinates whose squares leave the normal range: the incircle terms
+    # of degree 4 overflow, then the squared distances themselves overflow
+    # or round to subnormals
+    fams["lattice-2pow332"] = np.ldexp(lattice, 332)
+    uniform50 = np.random.default_rng(2).random((50, 2))
+    fams["uniform-50-1e155"] = 1e155 * uniform50
+    fams["uniform-50-1e-200"] = 1e-200 * uniform50
+
     return sorted(fams.items())
+
+
+# under the raw-double predicates the lune graph need not lie inside the
+# disk graph at ulp scale: in "ulp-pair" the reference lune graph keeps
+# edge (87, 100), whose disk holds the point one ulp above vertex 100;
+# where squared distances overflow, a long pair keeps its lune edge unless
+# some point lies within about 1.3e154 of both ends
+LUNE_OUTSIDE_DISK = {"tiny-cluster": 5, "ulp-pair": 1, "uniform-50-1e155": 1093}
 
 
 @pytest.mark.parametrize("name, coords", adversarial_families(), ids=lambda v: v if isinstance(v, str) else "")
 def test_fast_builders_match_references(name, coords):
     pts = PointSet(coords)
-    assert pts.n > 64
     fast_disk = gabriel(pts)
     fast_lune = rng_graph(pts)
     assert fast_disk == gabriel_naive(pts)
     assert fast_lune == rng_naive(pts)
-    assert edge_set(fast_lune) <= edge_set(fast_disk)
+    assert len(edge_set(fast_lune) - edge_set(fast_disk)) == LUNE_OUTSIDE_DISK.get(name, 0)
+
+
+def dense_square():
+    # 2,000 points in a 1e-3 square plus 100 uniform points
+    rng = np.random.default_rng(0)
+    return np.vstack([0.5 + 1e-3 * rng.random((2000, 2)), rng.random((100, 2))])
+
+
+def ring_1000():
+    ang = 2.0 * np.pi * np.arange(1000) / 1000.0
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def deep_square():
+    # 2,000 points in a 1e-9 square plus 100 uniform points: below Qhull's
+    # resolution, so the square's candidates come from a re-triangulated hole
+    rng = np.random.default_rng(0)
+    return np.vstack([0.5 + 1e-9 * rng.random((2000, 2)), rng.random((100, 2))])
+
+
+@pytest.mark.parametrize("build", [gabriel, rng_graph], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("layout", [dense_square, ring_1000, deep_square], ids=lambda f: f.__name__)
+def test_builders_bounded_cost(layout, build):
+    # a candidate search sized by the global point density goes quadratic
+    # on the first two (4.9-28 s, 1.3-4.1 GB resident); the bounds leave
+    # five-fold headroom over the cost of the triangulation's candidates
+    pts = PointSet(layout())
+    t0 = time.perf_counter()
+    build(pts)
+    elapsed = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        build(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.25
+    assert peak < 300e6
 
 
 def test_fast_builders_match_references_uniform():
