@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,6 +388,8 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
 
     workers > 1 fans trials out to a process pool; trial ordering and
     results are identical either way because each trial owns its stream.
+    A worker process that dies raises TrialError for the first trial
+    whose result is missing.
     """
     if not isinstance(config, ExperimentConfig):
         raise ParameterError(f"expected ExperimentConfig, got {type(config).__name__}")
@@ -395,7 +398,13 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as ex:
             futures = [ex.submit(_run_one, config, t) for t in range(config.trials)]
-            results = [f.result() for f in futures]
+            results = []
+            for t, f in enumerate(futures):
+                try:
+                    results.append(f.result())
+                except BrokenProcessPool as e:
+                    # trials before t finished; t is the first that did not
+                    raise TrialError(t, f"worker process died: {e}") from e
     return TrialSummary(
         config=config,
         trials=tuple(results),

@@ -62,6 +62,40 @@ The argument assumes that Qhull's output is a valid triangulation of
 the points it keeps, with no overlapping triangles outside the holes;
 differential tests against the references on adversarial layouts back
 it.
+
+Yao. ``yao`` takes one path at every size. A kd-tree on the points
+scaled by a power of two gives each point its k nearest points, with
+k = 4p + 16 and then 4k for the points left; those still left get an
+exact scan of every point (``_yao_dense``). The winner of a cone is the
+first minimum of the raw squared distance over neighbours sorted by
+index, so ties go to the smaller index. A point is settled when each of
+its cones is:
+
+- a cone with a winner strictly inside the horizon H, the squared
+  distance of the k-th neighbour shrunk by a relative 1e-12 for the
+  rounding of both distances: every point not seen is farther;
+- an empty cone whose part of the bounding box lies strictly inside H,
+  so no point not seen can be in it. The test widens the cone by 1e-9
+  rad on each side, far beyond the error of a float cone index, so a
+  point the index puts in the cone lies in the widened cone. The
+  farthest point of the widened cone inside the box is a vertex of
+  their intersection: the exit of an edge ray from the box, or a box
+  corner inside the cone, tested against a cone widened once more so
+  that the rounding of its angle cannot drop it. That vertex's squared
+  distance, times 1 + 1e-9, must be below H;
+- any cone, once the search has seen every point.
+
+The raw squared distances may overflow. Cone membership is kept apart
+from them, so a cone whose points all lie at infinite distance sends
+its arc to the smallest index, as the definition does. A horizon that
+overflows, or lies near the subnormal range where relative error bounds
+fail, is set to 0, and a vertex distance that overflows is inf; either
+way nothing is certified, and the point gets the exact scan.
+
+NumPy's arctan2 may differ from ``math.atan2`` in the last bit. Within
+1e-12 p of a cone edge, in units of cones, the index comes from
+``geom.cone_index`` itself, except on the axes and diagonals, where both
+return the same rounded multiple of pi/4.
 """
 
 from __future__ import annotations
@@ -75,7 +109,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import ParameterError
-from .geom import TWO_PI, ConeSpec, PointSet
+from .geom import TWO_PI, ConeSpec, PointSet, cone_index
 
 GABRIEL = "gabriel"
 RNG = "rng"
@@ -613,133 +647,153 @@ def rng_naive(points) -> Graph:
 # Yao graph
 
 
-def _yao_dense(P, spec: ConeSpec) -> np.ndarray:
-    """All-pairs cone scan in row chunks; first minimum per cone, so ties
-    go to the smaller index."""
-    n = len(P)
-    p = spec.p
-    theta = spec.theta
-    tails = []
-    heads = []
-    B = 256
-    for lo in range(0, n, B):
-        hi = min(n, lo + B)
-        dx = P[None, :, 0] - P[lo:hi, None, 0]
-        dy = P[None, :, 1] - P[lo:hi, None, 1]
-        d2 = dx * dx + dy * dy
-        a = (np.arctan2(dy, dx) - spec.offset) % TWO_PI
-        cidx = np.minimum((a / theta).astype(np.int64) + 1, p)
-        rl = np.arange(hi - lo)
-        d2[rl, lo + rl] = np.inf
-        for c in range(1, p + 1):
-            dc = np.where(cidx == c, d2, np.inf)
-            j = np.argmin(dc, axis=1)
-            hit = np.isfinite(dc[rl, j])
-            if hit.any():
-                tails.append((lo + rl[hit]).astype(np.int64))
-                heads.append(j[hit].astype(np.int64))
-    if not tails:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.column_stack([np.concatenate(tails), np.concatenate(heads)])
+# row blocks and dense chunks hold about this many (row, point) pairs
+_BLOCK = 2 ** 18
+
+# cone edges are widened by this angle for the bounding box test
+_WIDEN = 1e-9
+
+# squared lengths below this are subnormal or close to it and lose their
+# relative precision, so they settle nothing
+_TINY = 2.0 ** -960
 
 
-def _yao_rows_exact(P, spec: ConeSpec, rows, tails, heads):
-    """Full linear scan for rows the staged kNN search left unresolved."""
-    p = spec.p
-    theta = spec.theta
-    for r in rows:
-        r = int(r)
-        dx = P[:, 0] - P[r, 0]
-        dy = P[:, 1] - P[r, 1]
-        d2 = dx * dx + dy * dy
-        a = (np.arctan2(dy, dx) - spec.offset) % TWO_PI
-        ci = np.minimum((a / theta).astype(np.int64) + 1, p)
-        d2[r] = np.inf
-        for c in range(1, p + 1):
-            dc = np.where(ci == c, d2, np.inf)
-            j = int(np.argmin(dc))
-            if np.isfinite(dc[j]):
-                tails.append(np.array([r], dtype=np.int64))
-                heads.append(np.array([j], dtype=np.int64))
+def _cone_nearest(P, rows, cols, spec: ConeSpec):
+    """Per row and cone, the nearest of the row's ``cols`` in the cone and
+    its squared distance; the head is -1 where the cone holds none.
 
-
-def _yao_resolve(P, spec: ConeSpec, rows, ik, complete, horizon2, tails, heads):
-    """Emit arcs for rows whose every cone is settled by the k neighbors
-    seen so far. Returns the mask of resolved rows."""
-    m, k = ik.shape
-    dx = P[ik, 0] - P[rows, 0][:, None]
-    dy = P[ik, 1] - P[rows, 1][:, None]
+    ``cols`` is an (m, k) array sorted along each row, or one sorted index
+    array shared by every row, so the first minimum breaks ties toward the
+    smaller index. The row itself lies in no cone. Cone membership is kept
+    apart from the distance, which may overflow: when every point of a cone
+    is at infinite distance, the first of them wins."""
+    dx = P[cols, 0] - P[rows, 0][:, None]
+    dy = P[cols, 1] - P[rows, 1][:, None]
     d2 = dx * dx + dy * dy
-    a = (np.arctan2(dy, dx) - spec.offset) % TWO_PI
-    cidx = np.minimum((a / spec.theta).astype(np.int64) + 1, spec.p)
-    rr = np.repeat(np.arange(m, dtype=np.int64), k)
-    order = np.lexsort((ik.ravel(), d2.ravel(), rr))
-    d2s = d2.ravel()[order].reshape(m, k)
-    iks = ik.ravel()[order].reshape(m, k)
-    cis = cidx.ravel()[order].reshape(m, k)
-    ridx = np.arange(m)
-    resolved = np.ones(m, dtype=bool)
-    win = np.full((m, spec.p), -1, dtype=np.int64)
-    for c in range(1, spec.p + 1):
-        mask = cis == c
-        any_ = mask.any(axis=1)
-        first = np.argmax(mask, axis=1)
-        wd2 = np.where(any_, d2s[ridx, first], np.inf)
-        wh = np.where(any_, iks[ridx, first], -1)
-        # a winner strictly inside the search horizon cannot be displaced
-        # by unseen points; an empty cone is conclusive only on a
-        # complete scan
-        cone_ok = np.where(any_, wd2 < horizon2, complete)
-        resolved &= cone_ok
-        win[:, c - 1] = wh
+    a = np.arctan2(dy, dx) - spec.offset
+    # a % TWO_PI for a in [-3*pi, pi], bit for bit: adding one or two
+    # TWO_PI rounds once, as the float remainder does, at a tenth the cost
+    a += ((a < 0.0).astype(np.float64) + (a < -TWO_PI)) * TWO_PI
+    r = a / spec.theta
+    cone = np.minimum(r.astype(np.int64), spec.p - 1)
+    # NumPy's arctan2 may differ from math.atan2 in the last bit (it does on
+    # CPUs with AVX-512), so near a cone edge take the index cone_index
+    # gives; both return the rounded multiple of pi/4 on axes and diagonals
+    near = np.flatnonzero(np.abs(r - np.rint(r)) <= 1e-12 * spec.p)
+    x = dx.flat[near]
+    y = dy.flat[near]
+    for i in near[(x != 0.0) & (y != 0.0) & (np.abs(x) != np.abs(y))]:
+        cone.flat[i] = cone_index((0.0, 0.0), (dx.flat[i], dy.flat[i]), spec) - 1
+    cols = np.broadcast_to(cols, cone.shape)
+    cone[cols == rows[:, None]] = -1
+    m = len(rows)
+    rl = np.arange(m)
+    heads = np.full((m, spec.p), -1, dtype=np.int64)
+    hd2 = np.full((m, spec.p), np.inf)
     for c in range(spec.p):
-        has = resolved & (win[:, c] >= 0)
-        if has.any():
-            tails.append(rows[has])
-            heads.append(win[has, c])
-    return resolved
+        inc = cone == c
+        dc = np.where(inc, d2, np.inf)
+        j = np.argmin(dc, axis=1)
+        far = dc[rl, j] == np.inf
+        j[far] = np.argmax(inc[far], axis=1)
+        hit = inc[rl, j]
+        heads[hit, c] = cols[rl[hit], j[hit]]
+        hd2[hit, c] = d2[rl[hit], j[hit]]
+    return heads, hd2
+
+
+def _cone_reach(P, rows, spec: ConeSpec):
+    """Squared distance from each row point to the farthest point of each
+    cone, widened by ``_WIDEN``, within the points' bounding box.
+
+    The farthest point of the clipped cone is a vertex: the exit of an edge
+    ray from the box, or a box corner inside the cone. Corners are tested
+    against a cone widened twice, so the rounding of their angles cannot
+    drop one that matters. Overflow or a degenerate ray yields inf or nan,
+    which certifies nothing."""
+    lo = P.min(axis=0)
+    hi = P.max(axis=0)
+    u = P[rows]
+    start = spec.offset + spec.theta * np.arange(spec.p) - _WIDEN
+    ang = np.concatenate([start, start + spec.theta + 2.0 * _WIDEN])
+    d = np.column_stack([np.cos(ang), np.sin(ang)])
+    # exit parameter of every edge ray along each axis; the nearer one wins
+    bound = np.where(d[None] > 0.0, hi, lo) - u[:, None, :]
+    t = (bound / d[None]).min(axis=2)
+    ends = (t * t).reshape(len(rows), 2, spec.p).max(axis=1)
+    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+    v = corners[None] - u[:, None, :]
+    cd2 = (v * v).sum(axis=2)
+    ca = np.arctan2(v[..., 1], v[..., 0])
+    inside = (ca[..., None] - start + _WIDEN) % TWO_PI <= spec.theta + 4.0 * _WIDEN
+    return np.maximum(ends, np.where(inside, cd2[..., None], 0.0).max(axis=1))
+
+
+def _as_arcs(rows, heads) -> np.ndarray:
+    """(row, head) arcs for every cone that has a head."""
+    has = heads >= 0
+    return np.column_stack([np.repeat(rows, has.sum(axis=1)), heads[has]])
+
+
+def _yao_dense(P, spec: ConeSpec, rows=None) -> np.ndarray:
+    """Exact cone scan of ``rows`` (default: every point) against all
+    points, in row chunks of about ``_BLOCK`` pairs."""
+    n = len(P)
+    cols = np.arange(n)
+    rows = cols if rows is None else rows
+    B = max(1, _BLOCK // n)
+    out = [np.empty((0, 2), dtype=np.int64)]
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(rows), B):
+            r = rows[lo:lo + B]
+            out.append(_as_arcs(r, _cone_nearest(P, r, cols, spec)[0]))
+    return np.concatenate(out)
 
 
 def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
-    """Staged nearest-neighbor search: most rows settle with a small k,
-    stragglers escalate once, leftovers get an exact scan."""
+    """Staged nearest-neighbour search with an exact scan of the rest.
+
+    A row is settled by its k nearest points when every cone is: a winner
+    strictly inside the search horizon cannot be displaced by a point not
+    seen, and an empty cone is empty when its part of the bounding box
+    lies strictly inside the horizon (``_cone_reach``), or the search saw
+    every point. Two stages run; the rows left get an exact scan."""
     n = len(P)
-    tree = cKDTree(P)
+    # the tree indexes P scaled by a power of two, which is exact, so its
+    # distances cannot overflow
+    e = math.frexp(float(np.abs(P).max()))[1]
+    Q = np.ldexp(P, -e)
+    tree = cKDTree(Q)
+    out = []
     pending = np.arange(n, dtype=np.int64)
-    k = min(n - 1, 16 + spec.p)
-    tails = []
-    heads = []
-    for stage in range(2):
-        if len(pending) == 0:
-            break
-        dk, ik = tree.query(P[pending], k=k + 1)
-        notself = ik != pending[:, None]
-        # the self column is the unique zero-distance entry; drop it and,
-        # when a row somehow lacks it, drop that row's last column
-        extra = notself.sum(axis=1) - k
-        if (extra > 0).any():
-            fix = np.flatnonzero(extra > 0)
-            notself[fix, -1] = False
-        ik2 = ik[notself].reshape(len(pending), k)
-        complete = k >= n - 1
-        if complete:
-            horizon2 = np.full(len(pending), np.inf)
-        else:
-            b = dk.max(axis=1) * (1.0 - 1e-12)
-            horizon2 = b * b
-        resolved = _yao_resolve(
-            P, spec, pending, ik2, complete, horizon2, tails, heads
-        )
-        pending = pending[~resolved]
-        if complete:
-            pending = pending[:0]
-            break
-        k = min(n - 1, k * 8)
-    if len(pending):
-        _yao_rows_exact(P, spec, pending, tails, heads)
-    if not tails:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.column_stack([np.concatenate(tails), np.concatenate(heads)])
+    k = min(n - 1, 4 * spec.p + 16)
+    for _ in range(2):
+        left = []
+        B = max(1, _BLOCK // (k + 1))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for lo in range(0, len(pending), B):
+                rows = pending[lo:lo + B]
+                dk, ik = tree.query(Q[rows], k=k + 1)
+                heads, hd2 = _cone_nearest(P, rows, np.sort(ik, axis=1), spec)
+                if k == n - 1:
+                    out.append(_as_arcs(rows, heads))
+                    continue
+                # every point not seen is at least this far away; the margin
+                # covers the rounding of both distances
+                h = dk[:, -1] * (1.0 - 1e-12)
+                H = np.ldexp(h, e) ** 2
+                H[~((h * h >= _TINY) & (H >= _TINY) & (H < np.inf))] = 0.0
+                empty = heads < 0
+                need = empty.any(axis=1)
+                reach = _cone_reach(P, rows[need], spec) * (1.0 + 1e-9)
+                hd2[need] = np.where(empty[need], reach, hd2[need])
+                done = (hd2 < H[:, None]).all(axis=1)
+                out.append(_as_arcs(rows[done], heads[done]))
+                left.append(rows[~done])
+        pending = np.concatenate(left) if left else pending[:0]
+        k = min(n - 1, 4 * k)
+    out.append(_yao_dense(P, spec, pending))
+    return np.concatenate(out)
 
 
 def yao(points, spec: ConeSpec) -> DiGraph:
@@ -752,11 +806,7 @@ def yao(points, spec: ConeSpec) -> DiGraph:
     n = pts.n
     if n < 2:
         return DiGraph(n)
-    if n <= 2048:
-        arcs = _yao_dense(pts.coords, spec)
-    else:
-        arcs = _yao_knn(pts.coords, spec)
-    return DiGraph(n, arcs)
+    return DiGraph(n, _yao_knn(pts.coords, spec))
 
 
 def unit_disk_graph(points, radius) -> Graph:

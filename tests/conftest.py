@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,12 @@ def uniform_points(seed: int, n: int, scale: float = 1.0) -> PointSet:
     """A reproducible uniform point set in [0, scale]^2 for oracle tests."""
     rng = np.random.default_rng(seed)
     return PointSet(rng.random((n, 2)) * scale)
+
+
+def die_in_worker(config, trial):
+    """Stands in for the per-trial function of a pool worker that dies
+    mid-trial; importable by name, so a worker can unpickle it."""
+    os._exit(3)
 
 
 @pytest.fixture

@@ -13,9 +13,11 @@ import sys
 import numpy as np
 import pytest
 
+import proxdeg.experiment
 from proxdeg import PointSet, jewel_scale, staircase_scale
 from proxdeg.cli import main
 
+from conftest import die_in_worker
 from test_witness import planted_jewel_set, planted_staircase_set
 
 
@@ -309,6 +311,15 @@ class TestExperiment:
         rc = main(argv + list(extra))
         assert rc == 0
         return out, raw
+
+    def test_dead_worker_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(proxdeg.experiment, "_run_one", die_in_worker)
+        rc = main([
+            "experiment", "--graph", "gabriel", "--n", "40", "--trials", "2",
+            "--seed", "21", "--workers", "2", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: trial 0: worker process died")
 
     def test_json_report_schema(self, tmp_path):
         out, _ = self.run_small(tmp_path, "a")

@@ -35,6 +35,8 @@ from proxdeg import (
     trial_generator,
 )
 
+from conftest import die_in_worker
+
 L_SHAPE = [Rect(0.0, 0.0, 1.0, 0.5), Rect(0.0, 0.5, 0.5, 1.0)]
 
 
@@ -472,6 +474,15 @@ class TestRunTrials:
         )
         with pytest.raises(TrialError):
             run_trials(cfg)
+
+    def test_dead_worker_is_trial_error(self, monkeypatch):
+        # a worker that exits mid-trial breaks the pool; the failure names
+        # the first trial without a result
+        monkeypatch.setattr(proxdeg.experiment, "_run_one", die_in_worker)
+        with pytest.raises(TrialError) as exc:
+            run_trials(make_config(trials=3, workers=2))
+        assert exc.value.trial == 0
+        assert "worker process died" in str(exc.value)
 
     def test_trial_error_pickles(self):
         err = TrialError(3, "DisconnectedGraphError: no path")

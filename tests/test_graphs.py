@@ -8,8 +8,11 @@ predicate expressions. The families aim at the places where rounding
 could cost a candidate: cocircular points, points Qhull drops as
 coplanar, clusters far below the bounding box's scale, flat input,
 coordinates many ulps from zero, and coordinates whose squares overflow
-or turn subnormal. The Yao builder gets an independent pure-python
-oracle.
+or turn subnormal. The Yao builder's exact scan is checked against an
+independent pure-python oracle on the same families, and its staged
+neighbor search against the exact scan on layouts large enough to need
+the search: ties, points on cone edges, deep clusters, rings and
+overflowing distances.
 """
 
 import math
@@ -37,6 +40,7 @@ from proxdeg import (
     unit_disk_graph,
     yao,
 )
+from proxdeg.graphs import _yao_dense, _yao_knn
 
 from conftest import uniform_points
 
@@ -372,9 +376,13 @@ def dense_square():
     return np.vstack([0.5 + 1e-3 * rng.random((2000, 2)), rng.random((100, 2))])
 
 
-def ring_1000():
-    ang = 2.0 * np.pi * np.arange(1000) / 1000.0
+def ring(n):
+    ang = 2.0 * np.pi * np.arange(n) / n
     return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def ring_1000():
+    return ring(1000)
 
 
 def deep_square():
@@ -413,6 +421,34 @@ def test_fast_builders_match_references_uniform():
 
 # ---------------------------------------------------------------------------
 # cone-nearest graph
+
+
+def yao_families():
+    """Layouts of more than 2048 points, each with a cone spec, on which the
+    staged neighbor search must match the exact scan: exact distance ties,
+    points on cone edges, clusters far below the bounding box, rows whose
+    cones reach far past their neighbors, and overflowing distances."""
+    rng = np.random.default_rng(30)
+    xs, ys = np.meshgrid(np.arange(50) / 50.0, np.arange(50) / 50.0)
+    t = np.arange(2500) / 2500.0
+    two = [0.2 + 1e-6 * rng.random((1500, 2)), 0.7 + 1e-6 * rng.random((1500, 2))]
+    mixture = [
+        c + s * rng.standard_normal((750, 2))
+        for c, s in zip(rng.random((4, 2)), [0.01, 0.05, 0.002, 0.1])
+    ]
+    offset = 1e8 + rng.random((3000, 2))
+    clusters = [c + 1e-3 * rng.random((100, 2)) for c in rng.random((16, 2))]
+    return [
+        ("lattice-50", np.column_stack([xs.ravel(), ys.ravel()]), 8, 0.0),
+        ("two-clusters-1e-6", np.vstack(two), 3, 0.3),
+        ("ring-3000", ring(3000), 3, 0.0),
+        ("collinear-2500", np.column_stack([t, np.full(2500, 0.5)]), 2, 0.0),
+        ("diagonal-2500", np.column_stack([t, t]), 2, np.pi / 4.0),
+        ("gaussian-mixture", np.vstack(mixture), 5, 0.3),
+        ("offset-1e8", offset, 3, 5.9),
+        ("clusters-16x100-plus-5000", np.vstack(clusters + [rng.random((5000, 2))]), 2, 0.0),
+        ("uniform-3000-1e160", 1e160 * np.random.default_rng(0).random((3000, 2)), 3, 0.0),
+    ]
 
 
 def yao_oracle(pts, spec):
@@ -469,16 +505,73 @@ class TestYao:
 
     @pytest.mark.parametrize("p", [4, 7])
     def test_neighbor_search_path_matches_dense_path(self, p):
-        # the public builder switches to staged nearest-neighbor search
-        # above 2048 points; both paths must produce identical arcs
-        from proxdeg.graphs import _yao_dense, _yao_knn
-
+        # the staged nearest-neighbor search must give the arcs of the
+        # exact scan of every row
         pts = uniform_points(seed=40 + p, n=3000)
         spec = ConeSpec(p)
         dense = np.unique(_yao_dense(pts.coords, spec), axis=0)
         knn = np.unique(_yao_knn(pts.coords, spec), axis=0)
         assert np.array_equal(dense, knn)
         assert yao(pts, spec) == DiGraph(pts.n, dense)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_distances_match_oracle(self, scale):
+        # squared distances overflow to inf; a cone whose points are all at
+        # infinite distance still sends its arc, to the smallest index.
+        # Taking inf for "no point in the cone" kept 97 and 0 of 184 arcs
+        pts = PointSet(scale * np.random.default_rng(0).random((50, 2)))
+        spec = ConeSpec(4)
+        got = {(int(a), int(b)) for a, b in yao(pts, spec).edges}
+        assert got == yao_oracle(pts, spec)
+
+    @pytest.mark.parametrize(
+        "name, coords, p, offset", [pytest.param(*f, id=f[0]) for f in yao_families()]
+    )
+    def test_neighbor_search_matches_dense_on_adversarial_layouts(self, name, coords, p, offset):
+        pts = PointSet(coords)
+        spec = ConeSpec(p, offset=offset)
+        assert yao(pts, spec) == DiGraph(pts.n, _yao_dense(pts.coords, spec))
+
+    @pytest.mark.parametrize("p", [4, 8])
+    @pytest.mark.parametrize(
+        "name, coords",
+        [(k, c) for k, c in adversarial_families() if len(c) <= 300],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_dense_scan_matches_oracle_on_adversarial_layouts(self, name, coords, p):
+        # "cluster-plus-halo" at p=8 holds a pair whose direction lies
+        # within an ulp of a cone edge, where NumPy's arctan2 and
+        # math.atan2 can disagree
+        pts = PointSet(coords)
+        spec = ConeSpec(p)
+        dense = _yao_dense(pts.coords, spec)
+        assert {(int(a), int(b)) for a, b in dense} == yao_oracle(pts, spec)
+        assert yao(pts, spec) == DiGraph(pts.n, dense)
+
+    @pytest.mark.parametrize(
+        "layout, p",
+        [(lambda: uniform_points(seed=60, n=30000), 12), (lambda: PointSet(ring(3000)), 8)],
+        ids=["uniform-30000", "ring-3000"],
+    )
+    def test_bounded_cost(self, layout, p):
+        # a search that cannot settle a row with an empty cone before
+        # scanning every point takes 9 s and 550 MB on the first input; on
+        # the ring nearly every row needs the exact scan, so each search
+        # stage beyond two only adds cost. Both inputs take 0.6-1.2 s and
+        # at most 31 MB, so the bounds leave three-fold headroom or more
+        pts = layout()
+        spec = ConeSpec(p)
+        t0 = time.perf_counter()
+        yao(pts, spec)
+        elapsed = time.perf_counter() - t0
+        tracemalloc.start()
+        try:
+            yao(pts, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 4.0
+        assert peak < 150e6
 
 
 # ---------------------------------------------------------------------------
