@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared number check."""
+
+import math
 
 
 class ProxdegError(Exception):
@@ -7,6 +9,19 @@ class ProxdegError(Exception):
 
 class ParameterError(ProxdegError, ValueError):
     """An argument violates a function's contract."""
+
+
+def check_number(name, value, zero_ok=False) -> float:
+    """Return ``value`` as a float. Raise ParameterError naming ``name``
+    unless it is an int or float (not a bool), finite, and positive, or
+    zero as well with ``zero_ok``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ParameterError(f"{name} must be {sign} and finite, got {value!r}")
+    return value
 
 
 class DuplicatePointError(ProxdegError, ValueError):

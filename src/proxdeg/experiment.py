@@ -20,8 +20,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ._version import VERSION as _VERSION
-from .errors import DisconnectedGraphError, ParameterError, TrialError
-from .geom import RECT_UNION, UNIT_SQUARE, ConeSpec, PointSet, Region
+from .errors import DisconnectedGraphError, ParameterError, TrialError, check_number
+from .geom import RECT_UNION, UNIT_SQUARE, ConeSpec, PointSet, Region, as_point_set
 from .graphs import (
     DiGraph,
     Graph,
@@ -79,11 +79,7 @@ class GraphKind:
         if self.kind == KIND_UDG:
             if self.radius is None:
                 raise ParameterError("udg graphs need a radius")
-            r = self.radius
-            if not isinstance(r, (int, float)) or isinstance(r, bool):
-                raise ParameterError(f"radius must be a number, got {r!r}")
-            if not (math.isfinite(r) and r > 0.0):
-                raise ParameterError(f"radius must be positive and finite, got {r!r}")
+            check_number("radius", self.radius)
         elif self.radius is not None:
             raise ParameterError(f"{self.kind} graphs take no radius")
         if self.kind == KIND_INTERSECTION:
@@ -152,6 +148,8 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown measure {m!r}")
         if "max_out_degree" in self.measures and self.graph_kind.kind != KIND_YAO:
             raise ParameterError("max_out_degree needs a yao graph")
+        check_number("jewel_c", self.jewel_c)
+        check_number("staircase_c", self.staircase_c)
         census = {"jewel_count", "staircase_count"} & set(self.measures)
         if census and self.support.kind != UNIT_SQUARE:
             raise ParameterError("witness censuses need the unit square support")
@@ -267,7 +265,7 @@ def max_out_degree(graph: DiGraph) -> int:
 
 def max_edge_length(graph, points) -> float:
     """Euclidean length of the longest edge, 0.0 for an edgeless graph."""
-    pts = points if isinstance(points, PointSet) else PointSet(points)
+    pts = as_point_set(points)
     e = graph.edges
     if graph.n != pts.n:
         raise ParameterError(f"vertex counts differ: {graph.n} != {pts.n}")
@@ -293,9 +291,10 @@ def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
 
     Distances run over the undirected view with Euclidean edge weights.
     Raises DisconnectedGraphError, naming an unreachable pair, when the
-    graph has more than one component. Memory is quadratic in n.
+    graph has more than one component. Memory is quadratic in n: three
+    n x n float64 arrays at the peak.
     """
-    pts = points if isinstance(points, PointSet) else PointSet(points)
+    pts = as_point_set(points)
     g = undirected_view(graph)
     n = pts.n
     if g.n != n:
@@ -314,9 +313,10 @@ def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
     D = shortest_path(m, directed=False)
     dx = P[:, 0][:, None] - P[:, 0][None, :]
     dy = P[:, 1][:, None] - P[:, 1][None, :]
-    euc = np.hypot(dx, dy)
+    euc = np.hypot(dx, dy, out=dx)
+    del dy
     np.fill_diagonal(euc, 1.0)
-    ratio = D / euc
+    ratio = np.divide(D, euc, out=D)
     np.fill_diagonal(ratio, 0.0)
     flat = int(np.argmax(ratio))
     u, v = divmod(flat, n)
@@ -423,27 +423,15 @@ def theoretical_k(n, c: float = 1.0) -> float:
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 16:
         raise ParameterError(f"n must be an int >= 16, got {n!r}")
-    if not isinstance(c, (int, float)) or isinstance(c, bool):
-        raise ParameterError(f"c must be a number, got {c!r}")
-    c = float(c)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ParameterError(f"c must be nonnegative and finite, got {c!r}")
+    c = check_number("c", c, zero_ok=True)
     return c * math.log(n) / math.log(math.log(n))
 
 
 def chernoff_tail(mu: float, delta: float) -> float:
     """Multiplicative Chernoff bound exp(mu*(delta - (1+delta)*ln(1+delta)))
     on the probability that a sum with mean mu exceeds (1+delta)*mu."""
-    if not isinstance(mu, (int, float)) or isinstance(mu, bool):
-        raise ParameterError(f"mu must be a number, got {mu!r}")
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ParameterError(f"mu must be positive and finite, got {mu!r}")
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-        raise ParameterError(f"delta must be a number, got {delta!r}")
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ParameterError(f"delta must be nonnegative and finite, got {delta!r}")
+    mu = check_number("mu", mu)
+    delta = check_number("delta", delta, zero_ok=True)
     if delta == 0.0:
         return 1.0
     return math.exp(mu * (delta - (1.0 + delta) * math.log1p(delta)))

@@ -300,3 +300,9 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(n={len(self.coords)})"
+
+
+def as_point_set(points) -> PointSet:
+    """``points`` itself if it is a PointSet, else a validated PointSet
+    built from it."""
+    return points if isinstance(points, PointSet) else PointSet(points)

@@ -108,8 +108,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .errors import ParameterError
-from .geom import TWO_PI, ConeSpec, PointSet, cone_index
+from .errors import ParameterError, check_number
+from .geom import TWO_PI, ConeSpec, PointSet, as_point_set, cone_index
 
 GABRIEL = "gabriel"
 RNG = "rng"
@@ -285,10 +285,6 @@ def intersect(a, b) -> Graph:
     kb = gb.edges[:, 0] * n + gb.edges[:, 1]
     kc = np.intersect1d(ka, kb, assume_unique=True)
     return Graph(n, np.column_stack([kc // n, kc % n]))
-
-
-def _as_point_set(points) -> PointSet:
-    return points if isinstance(points, PointSet) else PointSet(points)
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +586,21 @@ def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
 def gabriel(points) -> Graph:
     """Gabriel graph: u ~ v iff the open disk with diameter uv contains
     no other point of the set."""
-    pts = _as_point_set(points)
+    pts = as_point_set(points)
     return Graph(pts.n, _proximity_edges(pts, GABRIEL))
 
 
 def rng_graph(points) -> Graph:
     """Relative-neighborhood graph: u ~ v iff no other point is strictly
     closer to both u and v than they are to each other."""
-    pts = _as_point_set(points)
+    pts = as_point_set(points)
     return Graph(pts.n, _proximity_edges(pts, RNG))
 
 
 def gabriel_naive(points) -> Graph:
     """Quadratic-scan Gabriel reference; same predicate expressions as
     the fast builder."""
-    pts = _as_point_set(points)
+    pts = as_point_set(points)
     P = pts.coords
     n = len(P)
     edges = []
@@ -625,7 +621,7 @@ def gabriel_naive(points) -> Graph:
 
 def rng_naive(points) -> Graph:
     """Quadratic-scan relative-neighborhood reference."""
-    pts = _as_point_set(points)
+    pts = as_point_set(points)
     P = pts.coords
     n = len(P)
     dx = P[None, :, 0] - P[:, None, 0]
@@ -800,7 +796,7 @@ def yao(points, spec: ConeSpec) -> DiGraph:
     """Directed Yao graph for the given cone partition: each point sends
     one arc to its nearest neighbor inside each cone, ties broken toward
     the smaller point index."""
-    pts = _as_point_set(points)
+    pts = as_point_set(points)
     if not isinstance(spec, ConeSpec):
         raise ParameterError(f"expected ConeSpec, got {type(spec).__name__}")
     n = pts.n
@@ -811,12 +807,8 @@ def yao(points, spec: ConeSpec) -> DiGraph:
 
 def unit_disk_graph(points, radius) -> Graph:
     """u ~ v iff dist(u, v) <= radius, boundary included."""
-    pts = _as_point_set(points)
-    if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-        raise ParameterError(f"radius must be a number, got {radius!r}")
-    radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ParameterError(f"radius must be positive and finite, got {radius!r}")
+    pts = as_point_set(points)
+    radius = check_number("radius", radius)
     tree = cKDTree(pts.coords)
     pairs = tree.query_pairs(radius * (1.0 + 1e-12), output_type="ndarray")
     if len(pairs):

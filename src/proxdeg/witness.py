@@ -11,6 +11,18 @@ every occurrence at the scale where theory predicts a constant count.
 Membership conventions: annuli are open at the inner radius and closed
 at the outer, step squares are closed, all comparisons run on squared
 distances or raw coordinates without epsilon.
+
+Both censuses run one scan: one kd-tree ball fetch around every
+candidate clear of the square's edges, then the exact per-point test
+that ``is_tiara`` or ``is_staircase`` runs, on each ball holding at
+least k points besides the centre.
+
+The ring test counts the points within R vectorized, then takes each
+one's region from ``pearl_region_index``, the one definition of a
+region. A vectorized copy built on NumPy's ``arctan2`` would not agree
+with it: on some CPUs (AVX-512 builds among them) ``arctan2`` differs
+from ``math.atan2`` in the last bit for a few percent of directions,
+which moves a pearl within an ulp of a sector edge into the next sector.
 """
 
 from __future__ import annotations
@@ -21,21 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError
-from .geom import TWO_PI, UNIT_SQUARE, PointSet, Region
-
-
-def _as_points(points) -> PointSet:
-    return points if isinstance(points, PointSet) else PointSet(points)
-
-
-def _check_positive(name, value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    return value
+from .errors import ParameterError, check_number
+from .geom import TWO_PI, UNIT_SQUARE, PointSet, Region, as_point_set
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class PearlSpec:
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 3:
             raise ParameterError(f"pearl count k must be an int >= 3, got {self.k!r}")
-        _check_positive("inner radius r", self.r)
+        check_number("inner radius r", self.r)
 
     @property
     def xi(self) -> float:
@@ -93,29 +92,21 @@ def _tiara_core(cx, cy, X, Y, spec: PearlSpec) -> bool:
     dx = X - cx
     dy = Y - cy
     d2 = dx * dx + dy * dy
-    R2 = spec.R * spec.R
-    near = (d2 > 0.0) & (d2 <= R2)
+    near = (d2 > 0.0) & (d2 <= spec.R * spec.R)
     if int(near.sum()) != spec.k:
         return False
-    dx = dx[near]
-    dy = dy[near]
-    d2 = d2[near]
-    if (d2 <= spec.r * spec.r).any():
-        return False
-    clk = (-np.arctan2(dy, dx)) % TWO_PI
-    s = np.minimum((clk / spec.xi).astype(np.int64) + 1, 3 * spec.k)
-    if (s % 3 == 0).any():
-        return False
-    cnt = np.bincount(s // 3 + 1, minlength=spec.k + 1)
-    return bool((cnt[1:spec.k + 1] == 1).all())
+    regions = {
+        pearl_region_index((cx, cy), (x, y), spec)
+        for x, y in zip(X[near].tolist(), Y[near].tolist())
+    }
+    return regions == set(range(1, spec.k + 1))
 
 
 def is_tiara(center, points, spec: PearlSpec) -> bool:
     """True iff the points of the set within distance R of ``center``
     (center itself excluded) are exactly one pearl per region, all
     strictly outside radius r."""
-    pts = _as_points(points)
-    P = pts.coords
+    P = as_point_set(points).coords
     return _tiara_core(center[0], center[1], P[:, 0], P[:, 1], spec)
 
 
@@ -147,7 +138,7 @@ class StaircaseSpec:
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ParameterError(f"step count k must be an int >= 1, got {self.k!r}")
-        _check_positive("side r", self.r)
+        check_number("side r", self.r)
 
     @property
     def step(self) -> float:
@@ -177,8 +168,7 @@ def _staircase_core(cx, cy, X, Y, spec: StaircaseSpec) -> bool:
 def is_staircase(center, points, spec: StaircaseSpec) -> bool:
     """True iff the points of the set within L-infinity distance r of
     ``center`` (center excluded) occupy the k steps exactly once each."""
-    pts = _as_points(points)
-    P = pts.coords
+    P = as_point_set(points).coords
     return _staircase_core(center[0], center[1], P[:, 0], P[:, 1], spec)
 
 
@@ -198,7 +188,7 @@ def make_staircase(spec: StaircaseSpec, center) -> PointSet:
 def _witness_count(n: int, c: float, kmin: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 16:
         raise ParameterError(f"census needs n >= 16, got {n!r}")
-    c = _check_positive("scale constant c", c)
+    c = check_number("scale constant c", c)
     return max(kmin, int(c * math.log(n) / math.log(math.log(n))))
 
 
@@ -226,35 +216,38 @@ def _census_support(support: Region | None) -> Region:
     return support
 
 
+def _census(P, cand, spec, core, radius, p) -> np.ndarray:
+    """Indices in ``cand`` at which ``core`` finds the witness ``spec``.
+
+    One fetch: the Minkowski-``p`` ball of ``radius``, widened by 1e-9
+    relative so that kd-tree rounding drops no point the exact test
+    counts. A witness has exactly spec.k points besides its centre within
+    ``radius``, so a ball of at most k points skips the exact test.
+    """
+    if len(cand) == 0:
+        return cand
+    balls = cKDTree(P).query_ball_point(P[cand], radius * (1.0 + 1e-9), p=p)
+    hits = [
+        int(ci) for ci, mem in zip(cand, balls)
+        if len(mem) > spec.k and core(P[ci, 0], P[ci, 1], *P[mem].T, spec)
+    ]
+    return np.asarray(hits, dtype=np.int64)
+
+
 def find_jewels(points, c: float = 1.0, support: Region | None = None) -> np.ndarray:
     """Indices of points whose neighborhood is a ring witness at the
     census scale. Candidates must clear the square's perimeter by 2r so
     the whole ring fits inside the support."""
     _census_support(support)
-    pts = _as_points(points)
-    n = pts.n
-    k, r = jewel_scale(n, c)
+    pts = as_point_set(points)
+    k, r = jewel_scale(pts.n, c)
     spec = PearlSpec(k, r)
     P = pts.coords
     x = P[:, 0]
     y = P[:, 1]
     clear = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
     cand = np.flatnonzero(clear >= 2.0 * r)
-    if len(cand) == 0:
-        return cand
-    tree = cKDTree(P)
-    R_fetch = spec.R * (1.0 + 1e-9)
-    counts = tree.query_ball_point(P[cand], R_fetch, return_length=True)
-    cand = cand[counts >= k + 1]
-    if len(cand) == 0:
-        return cand
-    balls = tree.query_ball_point(P[cand], R_fetch)
-    hits = []
-    for ci, mem in zip(cand, balls):
-        mi = np.asarray(mem, dtype=np.int64)
-        if _tiara_core(P[ci, 0], P[ci, 1], P[mi, 0], P[mi, 1], spec):
-            hits.append(int(ci))
-    return np.asarray(hits, dtype=np.int64)
+    return _census(P, cand, spec, _tiara_core, spec.R, 2.0)
 
 
 def count_jewels(points, c: float = 1.0, support: Region | None = None) -> int:
@@ -267,29 +260,14 @@ def find_staircases(points, c: float = 1.0, support: Region | None = None) -> np
     census scale. Candidates keep their full L-infinity ball inside the
     square."""
     _census_support(support)
-    pts = _as_points(points)
-    n = pts.n
-    k, r = staircase_scale(n, c)
+    pts = as_point_set(points)
+    k, r = staircase_scale(pts.n, c)
     spec = StaircaseSpec(k, r)
     P = pts.coords
     x = P[:, 0]
     y = P[:, 1]
     cand = np.flatnonzero((x >= r) & (x <= 1.0 - r) & (y >= r) & (y <= 1.0 - r))
-    if len(cand) == 0:
-        return cand
-    tree = cKDTree(P)
-    r_fetch = r * (1.0 + 1e-9)
-    counts = tree.query_ball_point(P[cand], r_fetch, p=np.inf, return_length=True)
-    cand = cand[counts >= k + 1]
-    if len(cand) == 0:
-        return cand
-    balls = tree.query_ball_point(P[cand], r_fetch, p=np.inf)
-    hits = []
-    for ci, mem in zip(cand, balls):
-        mi = np.asarray(mem, dtype=np.int64)
-        if _staircase_core(P[ci, 0], P[ci, 1], P[mi, 0], P[mi, 1], spec):
-            hits.append(int(ci))
-    return np.asarray(hits, dtype=np.int64)
+    return _census(P, cand, spec, _staircase_core, r, np.inf)
 
 
 def count_staircases(points, c: float = 1.0, support: Region | None = None) -> int:
@@ -304,40 +282,21 @@ def count_staircases(points, c: float = 1.0, support: Region | None = None) -> i
 def count_maxima(points) -> int:
     """Number of points no other point beats strictly in both
     coordinates."""
-    pts = _as_points(points)
-    P = pts.coords
-    n = len(P)
-    if n == 0:
-        return 0
-    x = P[:, 0]
-    y = P[:, 1]
-    order = np.argsort(-x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    if n == 1 or (xs[1:] != xs[:-1]).all():
-        best = np.maximum.accumulate(np.concatenate([[-np.inf], ys[:-1]]))
-        return int((ys >= best).sum())
-    # tied x values: points in the same column cannot dominate each other
-    total = 0
-    best = -np.inf
-    lo = 0
-    while lo < n:
-        hi = lo
-        while hi < n and xs[hi] == xs[lo]:
-            hi += 1
-        grp = ys[lo:hi]
-        total += int((grp >= best).sum())
-        m = float(grp.max())
-        if m > best:
-            best = m
-        lo = hi
-    return total
+    P = as_point_set(points).coords
+    order = np.argsort(-P[:, 0], kind="stable")
+    xs = P[order, 0]
+    ys = P[order, 1]
+    # best[j] is the largest y among the first j points in decreasing x;
+    # a point is beaten only from a column strictly to its right, so it
+    # meets best at the first index of its own column of tied x
+    best = np.concatenate([[-np.inf], np.maximum.accumulate(ys)])
+    first = np.arange(len(xs))
+    first[1:][xs[1:] == xs[:-1]] = 0
+    np.maximum.accumulate(first, out=first)
+    return int((ys >= best[first]).sum())
 
 
 def count_minima(points) -> int:
     """Number of points no other point beats strictly downward in both
     coordinates."""
-    pts = _as_points(points)
-    if pts.n == 0:
-        return 0
-    return count_maxima(PointSet(-pts.coords))
+    return count_maxima(PointSet(-as_point_set(points).coords))

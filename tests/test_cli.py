@@ -414,6 +414,9 @@ class TestExperiment:
     def test_config_errors_are_runtime(self):
         assert main(["experiment", "--graph", "gabriel", "--n", "20",
                      "--trials", "0", "--seed", "1"]) == 1
+        # a census constant is checked with the config, census or not
+        assert main(["experiment", "--graph", "gabriel", "--n", "20",
+                     "--trials", "1", "--seed", "1", "--jewel-c", "0"]) == 1
 
 
 # ---------------------------------------------------------------------------

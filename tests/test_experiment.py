@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from proxdeg import (
     trial_generator,
 )
 
-from conftest import die_in_worker
+from conftest import die_in_worker, uniform_points
 
 L_SHAPE = [Rect(0.0, 0.0, 1.0, 0.5), Rect(0.0, 0.5, 0.5, 1.0)]
 
@@ -281,6 +282,20 @@ class TestStretch:
         with pytest.raises(ParameterError):
             stretch_factor(Graph(3), PointSet([(0.0, 0.0), (1.0, 1.0)]))
 
+    def test_peak_memory_is_three_square_arrays(self):
+        # the path lengths, the coordinate differences and the distances:
+        # three n x n float64 arrays, the ratios written over the paths
+        n = 1500
+        pts = uniform_points(seed=68, n=n)
+        g = gabriel(pts)
+        tracemalloc.start()
+        try:
+            stretch_details(g, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * n * n
+
 
 # ---------------------------------------------------------------------------
 # experiment configuration
@@ -377,6 +392,10 @@ class TestExperimentConfig:
                 "measures": ("staircase_count",),
                 "support": Region.rect_union(L_SHAPE),
             },
+            {"jewel_c": 0.0},
+            {"jewel_c": "1"},
+            {"staircase_c": -1.0},
+            {"staircase_c": math.inf},
         ],
     )
     def test_rejects_invalid(self, overrides):

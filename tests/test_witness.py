@@ -171,6 +171,36 @@ class TestTiaraRoundTrip:
         ring[1] = (rho * math.cos(a), rho * math.sin(a))
         assert not is_tiara((0.0, 0.0), PointSet(ring), spec)
 
+    # On CPUs where NumPy's arctan2 and math.atan2 agree to the last bit,
+    # the next two tests pass whichever of them the ring test uses; on
+    # AVX-512 CPUs arctan2 is an ulp off for a few percent of directions.
+    def test_pearl_an_ulp_from_a_gap_follows_region_index(self):
+        # the third pearl lies within an ulp of the edge between gap
+        # sector 6 and region 3: math.atan2 puts it in the gap, the
+        # arctan2 of an AVX-512 build in region 3
+        spec = PearlSpec(3, 1.0)
+        w = (-0.5763518223330703, 0.9982706393157872)
+        rows = np.vstack([make_tiara(spec, (0.0, 0.0)).coords[:2], [w]])
+        assert pearl_region_index((0.0, 0.0), w, spec) is None
+        assert is_tiara((0.0, 0.0), PointSet(rows), spec) is False
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 7, 12])
+    def test_pearls_at_sector_edges_follow_region_index(self, k):
+        # every sector edge, at 21 directions within 1e-15 rad of it, in
+        # place of the pearl of a region next to the edge
+        spec = PearlSpec(k, 1.0)
+        ring = make_tiara(spec, (0.0, 0.0)).coords
+        rho = (spec.r + spec.R) / 2.0
+        for edge in range(3 * k):
+            j = (edge // 3) % k  # region j + 1 borders this edge
+            for t in range(-10, 11):
+                a = -edge * spec.xi + t * 1e-16
+                rows = ring.copy()
+                rows[j] = (rho * math.cos(a), rho * math.sin(a))
+                regions = {pearl_region_index((0.0, 0.0), tuple(w), spec) for w in rows}
+                expect = regions == set(range(1, k + 1))
+                assert is_tiara((0.0, 0.0), PointSet(rows), spec) is expect
+
     @pytest.mark.parametrize("k", [3, 7, 12])
     def test_forces_disk_empty_degree(self, k):
         spec = PearlSpec(k, 1.0)
@@ -313,6 +343,45 @@ def planted_staircase_set():
     return PointSet(np.vstack([[corner], stairs.coords, fillers])), spec
 
 
+def planted_census_set(make, spec, radius):
+    """2,000 points holding the witness ``make(spec, centre)`` at 16
+    centres on a 4x4 grid. Every other plant gets one more point just past
+    ``radius`` (inside the census's 1e-9 fetch slack, outside the
+    witness), so its ball holds k + 2 points and the others' k + 1; every
+    fourth plant is broken by a point r/2 from its centre. Uniform fillers
+    keep an L-infinity distance of 3 * radius from every centre. Returns
+    the set and the centres' indices."""
+    g = np.linspace(0.15, 0.85, 4)
+    centres = np.array([(x, y) for x in g for y in g])
+    rows, plants = [], []
+    for i, (cx, cy) in enumerate(centres):
+        plants.append(len(rows))
+        rows.append((cx, cy))
+        rows.extend(make(spec, (cx, cy)).coords.tolist())
+        if i % 2:
+            rows.append((cx + radius * (1.0 + 1e-12), cy))
+        if i % 4 == 0:
+            rows.append((cx + spec.r / 2.0, cy))
+    q = np.random.default_rng(67).random((10_000, 2))
+    far = np.abs(q[:, None, :] - centres[None, :, :]).max(axis=2).min(axis=1) > 3.0 * radius
+    fill = q[far][: 2000 - len(rows)]
+    return PointSet(np.vstack([rows, fill])), plants
+
+
+def census_inputs(seed, make, spec, radius):
+    """The two inputs of a census differential test: 10,000 uniform
+    points, where the census finds nothing, and the planted set, with
+    hits and broken plants, for the 2,000-point ``spec``."""
+    return [
+        pytest.param(lambda: (uniform_points(seed=seed, n=10_000), []), id="uniform"),
+        pytest.param(lambda: planted_census_set(make, spec, radius), id="planted"),
+    ]
+
+
+JEWEL_SPEC_2000 = PearlSpec(*jewel_scale(2000))
+STAIRCASE_SPEC_2000 = StaircaseSpec(*staircase_scale(2000))
+
+
 class TestJewelCensus:
     def test_planted_witness_found_exactly_once(self):
         pts, _ = planted_jewel_set()
@@ -347,20 +416,27 @@ class TestJewelCensus:
         with pytest.raises(ParameterError):
             count_jewels(ok, c=0.0)
 
-    def test_matches_per_point_detector(self):
-        pts = uniform_points(seed=61, n=10_000)
+    @pytest.mark.parametrize(
+        "layout", census_inputs(61, make_tiara, JEWEL_SPEC_2000, JEWEL_SPEC_2000.R)
+    )
+    def test_matches_per_point_detector(self, layout):
+        pts, plants = layout()
         k, r = jewel_scale(pts.n)
         spec = PearlSpec(k, r)
-        found = set(find_jewels(pts).tolist())
+        found = find_jewels(pts).tolist()
         P = pts.coords
         clear = np.minimum(
             np.minimum(P[:, 0], 1.0 - P[:, 0]),
             np.minimum(P[:, 1], 1.0 - P[:, 1]),
         )
-        sample = sorted(set(range(200)) | found)
-        for i in sample:
-            expect = bool(clear[i] >= 2.0 * r) and is_tiara(tuple(P[i]), pts, spec)
-            assert (i in found) == expect
+        expect = [
+            i for i in range(pts.n)
+            if clear[i] >= 2.0 * r and is_tiara(tuple(P[i]), pts, spec)
+        ]
+        assert found == expect
+        if plants:
+            assert len(found) >= 5
+            assert any(i not in found for i in plants)  # a broken plant
 
 
 class TestStaircaseCensus:
@@ -391,20 +467,28 @@ class TestStaircaseCensus:
         with pytest.raises(ParameterError):
             count_staircases(uniform_points(seed=62, n=20), c=-2.0)
 
-    def test_matches_per_point_detector(self):
-        pts = uniform_points(seed=63, n=10_000)
+    @pytest.mark.parametrize(
+        "layout",
+        census_inputs(63, make_staircase, STAIRCASE_SPEC_2000, STAIRCASE_SPEC_2000.r),
+    )
+    def test_matches_per_point_detector(self, layout):
+        pts, plants = layout()
         k, r = staircase_scale(pts.n)
         spec = StaircaseSpec(k, r)
-        found = set(find_staircases(pts).tolist())
+        found = find_staircases(pts).tolist()
         P = pts.coords
         inside = (
             (P[:, 0] >= r) & (P[:, 0] <= 1.0 - r)
             & (P[:, 1] >= r) & (P[:, 1] <= 1.0 - r)
         )
-        sample = sorted(set(range(200)) | found)
-        for i in sample:
-            expect = bool(inside[i]) and is_staircase(tuple(P[i]), pts, spec)
-            assert (i in found) == expect
+        expect = [
+            i for i in range(pts.n)
+            if inside[i] and is_staircase(tuple(P[i]), pts, spec)
+        ]
+        assert found == expect
+        if plants:
+            assert len(found) >= 5
+            assert any(i not in found for i in plants)  # a broken plant
 
 
 # ---------------------------------------------------------------------------
