@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -77,27 +78,23 @@ def _now() -> str:
 
 
 def _region_from(args) -> Region:
-    if args.support == "unit-square":
-        return Region.unit_square()
-    if args.support == "rotated-square":
-        return Region.rotated_square()
-    rects_arg = getattr(args, "rects", None)
-    if not rects_arg:
-        raise _UsageError("rect-union regions need --rects 'x0,y0,x1,y1;...'")
-    rects = []
-    for part in rects_arg.split(";"):
-        vals = part.split(",")
-        if len(vals) != 4:
-            raise _UsageError(f"bad rectangle {part!r}, expected x0,y0,x1,y1")
-        try:
-            nums = [float(v) for v in vals]
-        except ValueError:
-            raise _UsageError(f"bad rectangle {part!r}, expected numbers") from None
-        try:
-            rects.append(Rect(*nums))
-        except ParameterError as e:
-            raise _UsageError(str(e)) from None
     try:
+        if args.support == "unit-square":
+            return Region.unit_square()
+        if args.support == "rotated-square":
+            return Region.rotated_square()
+        if not args.rects:
+            raise _UsageError("rect-union regions need --rects 'x0,y0,x1,y1;...'")
+        rects = []
+        for part in args.rects.split(";"):
+            vals = part.split(",")
+            if len(vals) != 4:
+                raise _UsageError(f"bad rectangle {part!r}, expected x0,y0,x1,y1")
+            try:
+                nums = [float(v) for v in vals]
+            except ValueError:
+                raise _UsageError(f"bad rectangle {part!r}, expected numbers") from None
+            rects.append(Rect(*nums))
         return Region.rect_union(rects)
     except ParameterError as e:
         raise _UsageError(str(e)) from None
@@ -136,23 +133,31 @@ def _graph_kind(args) -> GraphKind:
         raise _UsageError(str(e)) from None
 
 
-def _read_points(path) -> PointSet:
+def _read_pairs(path, split, convert, shape, what) -> list:
+    """The rows of a two-column text file, blank lines and '#' comments
+    skipped. ``split`` cuts a line into fields and ``convert`` reads each;
+    ``shape`` and ``what`` name the fields and their type in errors."""
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
+            parts = split(line)
             if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected 'x,y', got {line!r}")
+                raise ParameterError(f"{path}:{lineno}: expected {shape!r}, got {line!r}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                rows.append((convert(parts[0]), convert(parts[1])))
             except ValueError:
                 raise ParameterError(
-                    f"{path}:{lineno}: expected numbers, got {line!r}"
+                    f"{path}:{lineno}: expected {what}, got {line!r}"
                 ) from None
-    return PointSet(np.asarray(rows, dtype=np.float64).reshape(-1, 2))
+    return rows
+
+
+def _read_points(path) -> PointSet:
+    """Read a points CSV ('x,y' per line)."""
+    return PointSet(_read_pairs(path, lambda line: line.split(","), float, "x,y", "numbers"))
 
 
 def _points_text(pts: PointSet, manifest: dict) -> str:
@@ -173,22 +178,9 @@ def _read_edges(path, n: int) -> Graph:
     """Read an edge-list file ('i j' per line, '#' comments skipped) as an
     undirected graph on n vertices; directed files collapse to their
     undirected view."""
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParameterError(
-                    f"{path}:{lineno}: expected integers, got {line!r}"
-                ) from None
-    return Graph(n, np.asarray(rows, dtype=np.int64).reshape(-1, 2))
+    return Graph(n, _read_pairs(
+        path, lambda line: line.replace(",", " ").split(), int, "i j", "integers"
+    ))
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -292,20 +284,6 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _stats_payload(stats: dict) -> dict:
-    out = {}
-    for m, st in stats.items():
-        raw = [list(v) if isinstance(v, tuple) else v for v in st.raw]
-        out[m] = {
-            "mean": st.mean,
-            "sd": st.sd,
-            "min": st.min,
-            "max": st.max,
-            "raw": raw,
-        }
-    return out
-
-
 def _raw_value(v) -> str:
     if isinstance(v, tuple):
         return ";".join(str(int(x)) for x in v)
@@ -320,6 +298,17 @@ def _cmd_experiment(args) -> int:
     ns = _parse_n_list(args.n)
     measures = tuple(args.measure) if args.measure else ("max_degree",)
     workers = _resolve_workers(args)
+    # the parameters both outputs echo
+    echo = {
+        "command": "experiment",
+        "graph_kind": kind.describe(),
+        "support": _describe_region(region),
+        "n": ns,
+        "trials": args.trials,
+        "seed": args.seed,
+        "measures": list(measures),
+        "version": VERSION,
+    }
     results = []
     raw_rows = []
     for n in ns:
@@ -344,40 +333,23 @@ def _cmd_experiment(args) -> int:
         results.append({
             "n": n,
             "elapsed_s": dt,
-            "stats": _stats_payload(res.stats),
+            "stats": {m: asdict(st) for m, st in res.stats.items()},
         })
         for t in res.trials:
             vals = ",".join(_raw_value(t.values[m]) for m in measures)
             raw_rows.append(f"{n},{t.trial},{vals}")
     if args.raw_out is not None:
-        manifest = {
-            "command": "experiment",
-            "graph_kind": kind.describe(),
-            "support": _describe_region(region),
-            "n": ns,
-            "trials": args.trials,
-            "seed": args.seed,
-            "measures": list(measures),
-            "version": VERSION,
-        }
         header = "n,trial," + ",".join(measures)
-        lines = [_manifest_line(manifest), header]
+        lines = [_manifest_line(echo), header]
         lines.extend(raw_rows)
         _write_text(args.raw_out, "\n".join(lines) + "\n")
     payload = {
-        "command": "experiment",
+        **echo,
         "created": _now(),
-        "graph_kind": kind.describe(),
-        "support": _describe_region(region),
-        "n": ns,
-        "trials": args.trials,
-        "seed": args.seed,
-        "measures": list(measures),
         "jewel_c": args.jewel_c,
         "staircase_c": args.staircase_c,
         "workers": workers,
         "results": results,
-        "version": VERSION,
     }
     _write_json(args.out, payload)
     return 0
@@ -516,10 +488,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ProxdegError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ProxdegError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from ._version import VERSION as _VERSION
 from .errors import DisconnectedGraphError, ParameterError, TrialError, check_number
 from .geom import RECT_UNION, UNIT_SQUARE, ConeSpec, PointSet, Region, as_point_set
 from .graphs import (
+    _BLOCK,
     DiGraph,
-    Graph,
     gabriel,
     intersect,
     rng_graph,
@@ -41,20 +41,6 @@ KIND_UDG = "udg"
 KIND_INTERSECTION = "intersection"
 
 _KINDS = (KIND_GABRIEL, KIND_RNG, KIND_YAO, KIND_UDG, KIND_INTERSECTION)
-
-MEASURES = (
-    "max_degree",
-    "max_out_degree",
-    "edge_count",
-    "max_edge_length",
-    "degree_histogram",
-    "stretch",
-    "jewel_count",
-    "staircase_count",
-)
-
-# census measures work straight off the point set
-_POINT_MEASURES = frozenset({"jewel_count", "staircase_count"})
 
 
 @dataclass(frozen=True)
@@ -248,19 +234,14 @@ def sample_uniform(region: Region, n: int, rng: np.random.Generator, meta=None) 
 
 def max_degree(graph) -> int:
     """Largest vertex degree of the undirected view."""
-    g = undirected_view(graph)
-    if g.n == 0:
-        return 0
-    return int(g.degrees().max())
+    return int(undirected_view(graph).degrees().max(initial=0))
 
 
 def max_out_degree(graph: DiGraph) -> int:
     """Largest out-degree of a directed graph."""
     if not isinstance(graph, DiGraph):
         raise ParameterError("max_out_degree needs a directed graph")
-    if graph.n == 0:
-        return 0
-    return int(graph.out_degrees().max())
+    return int(graph.out_degrees().max(initial=0))
 
 
 def max_edge_length(graph, points) -> float:
@@ -279,10 +260,7 @@ def max_edge_length(graph, points) -> float:
 
 def degree_histogram(graph) -> tuple:
     """Counts of vertices by undirected degree, index = degree."""
-    g = undirected_view(graph)
-    if g.n == 0:
-        return ()
-    return tuple(int(x) for x in np.bincount(g.degrees()))
+    return tuple(int(x) for x in np.bincount(undirected_view(graph).degrees()))
 
 
 def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
@@ -291,8 +269,8 @@ def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
 
     Distances run over the undirected view with Euclidean edge weights.
     Raises DisconnectedGraphError, naming an unreachable pair, when the
-    graph has more than one component. Memory is quadratic in n: three
-    n x n float64 arrays at the peak.
+    graph has more than one component. Rows run in blocks of about
+    2**18 pairs, so memory is linear in n.
     """
     pts = as_point_set(points)
     g = undirected_view(graph)
@@ -305,22 +283,26 @@ def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
     e = g.edges
     w = np.hypot(P[e[:, 0], 0] - P[e[:, 1], 0], P[e[:, 0], 1] - P[e[:, 1], 1])
     m = csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n))
-    ncomp, labels = connected_components(m, directed=False)
-    if ncomp > 1:
-        u = 0
-        v = int(np.flatnonzero(labels != labels[0])[0])
-        raise DisconnectedGraphError(u, v)
-    D = shortest_path(m, directed=False)
-    dx = P[:, 0][:, None] - P[:, 0][None, :]
-    dy = P[:, 1][:, None] - P[:, 1][None, :]
-    euc = np.hypot(dx, dy, out=dx)
-    del dy
-    np.fill_diagonal(euc, 1.0)
-    ratio = np.divide(D, euc, out=D)
-    np.fill_diagonal(ratio, 0.0)
-    flat = int(np.argmax(ratio))
-    u, v = divmod(flat, n)
-    return float(ratio[u, v]), (int(u), int(v))
+    B = max(1, _BLOCK // n)
+    # the first maximum of each block, in row-major order
+    tops = []
+    flats = []
+    for lo in range(0, n, B):
+        rows = np.arange(lo, min(lo + B, n))
+        D = dijkstra(m, directed=False, indices=rows)
+        if lo == 0 and np.isinf(D[0]).any():
+            raise DisconnectedGraphError(0, int(np.flatnonzero(np.isinf(D[0]))[0]))
+        euc = np.hypot(P[rows, 0][:, None] - P[:, 0], P[rows, 1][:, None] - P[:, 1])
+        euc[rows - lo, rows] = 1.0
+        ratio = np.divide(D, euc, out=D)
+        j = int(np.argmax(ratio))
+        tops.append(ratio.flat[j])
+        flats.append(lo * n + j)
+    # argmax over the blocks' maxima picks the first block holding the
+    # overall maximum, as argmax over the whole matrix would
+    b = int(np.argmax(tops))
+    u, v = divmod(flats[b], n)
+    return float(tops[b]), (int(u), int(v))
 
 
 def stretch_factor(graph, points) -> float:
@@ -328,24 +310,23 @@ def stretch_factor(graph, points) -> float:
     return stretch_details(graph, points)[0]
 
 
-def _measure_value(measure: str, config: ExperimentConfig, pts: PointSet, g):
-    if measure == "max_degree":
-        return max_degree(g)
-    if measure == "max_out_degree":
-        return max_out_degree(g)
-    if measure == "edge_count":
-        return int(g.edge_count)
-    if measure == "max_edge_length":
-        return max_edge_length(g, pts)
-    if measure == "degree_histogram":
-        return degree_histogram(g)
-    if measure == "stretch":
-        return stretch_factor(g, pts)
-    if measure == "jewel_count":
-        return count_jewels(pts, config.jewel_c, config.support)
-    if measure == "staircase_count":
-        return count_staircases(pts, config.staircase_c, config.support)
-    raise ParameterError(f"unknown measure {measure!r}")
+# each measure's value from (config, points, graph); the keys, in this
+# order, are the measure names the CLI offers
+_MEASURE_FNS = {
+    "max_degree": lambda cfg, pts, g: max_degree(g),
+    "max_out_degree": lambda cfg, pts, g: max_out_degree(g),
+    "edge_count": lambda cfg, pts, g: int(g.edge_count),
+    "max_edge_length": lambda cfg, pts, g: max_edge_length(g, pts),
+    "degree_histogram": lambda cfg, pts, g: degree_histogram(g),
+    "stretch": lambda cfg, pts, g: stretch_factor(g, pts),
+    "jewel_count": lambda cfg, pts, g: count_jewels(pts, cfg.jewel_c, cfg.support),
+    "staircase_count": lambda cfg, pts, g: count_staircases(pts, cfg.staircase_c, cfg.support),
+}
+
+MEASURES = tuple(_MEASURE_FNS)
+
+# census measures work straight off the point set
+_POINT_MEASURES = frozenset({"jewel_count", "staircase_count"})
 
 
 def _run_one(config: ExperimentConfig, trial: int) -> TrialResult:
@@ -360,7 +341,7 @@ def _run_one(config: ExperimentConfig, trial: int) -> TrialResult:
         g = None
         if any(m not in _POINT_MEASURES for m in config.measures):
             g = config.graph_kind.build(pts)
-        values = {m: _measure_value(m, config, pts, g) for m in config.measures}
+        values = {m: _MEASURE_FNS[m](config, pts, g) for m in config.measures}
         return TrialResult(trial=trial, n=config.n, values=values)
     except TrialError:
         raise

@@ -220,15 +220,11 @@ class Region:
 
     def contains(self, p) -> bool:
         """Closed membership test for a single point."""
-        if self.kind == UNIT_SQUARE:
-            return 0.0 <= p[0] <= 1.0 and 0.0 <= p[1] <= 1.0
-        if self.kind == ROTATED_SQUARE:
-            return abs(p[0] - 0.5) + abs(p[1] - 0.5) <= ROT_HALF_DIAG
-        return any(r.contains(p) for r in self.rects)
+        return bool(self.contains_mask([p])[0])
 
     def contains_mask(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized closed membership for an (n, 2) array."""
-        pts = np.asarray(pts, dtype=np.float64)
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
         x = pts[:, 0]
         y = pts[:, 1]
         if self.kind == UNIT_SQUARE:

@@ -65,11 +65,12 @@ it.
 
 Yao. ``yao`` takes one path at every size. A kd-tree on the points
 scaled by a power of two gives each point its k nearest points, with
-k = 4p + 16 and then 4k for the points left; those still left get an
-exact scan of every point (``_yao_dense``). The winner of a cone is the
-first minimum of the raw squared distance over neighbours sorted by
-index, so ties go to the smaller index. A point is settled when each of
-its cones is:
+k = 4p + 16 and then 4k for the points left. A stage runs only while
+k < n - 1; the points still left, or all of them once k would reach
+n - 1, get the one exact scan of every point (``_yao_dense``). The
+winner of a cone is the first minimum of the raw squared distance over
+neighbours sorted by index, so ties go to the smaller index. A point is
+settled when each of its cones is:
 
 - a cone with a winner strictly inside the horizon H, the squared
   distance of the k-th neighbour shrunk by a relative 1e-12 for the
@@ -82,8 +83,7 @@ its cones is:
   their intersection: the exit of an edge ray from the box, or a box
   corner inside the cone, tested against a cone widened once more so
   that the rounding of its angle cannot drop it. That vertex's squared
-  distance, times 1 + 1e-9, must be below H;
-- any cone, once the search has seen every point.
+  distance, times 1 + 1e-9, must be below H.
 
 The raw squared distances may overflow. Cone membership is kept apart
 from them, so a cone whose points all lie at infinite distance sends
@@ -164,17 +164,14 @@ def _canonical(n, pairs, what, undirected):
     return n, e
 
 
-class Graph:
-    """Undirected simple graph on vertices ``0..n-1``.
-
-    Edges are canonical: an (m, 2) int64 array with ``edges[:, 0] <
-    edges[:, 1]``, lexicographically sorted and free of duplicates.
-    """
+class _PairGraph:
+    """The body Graph and DiGraph share: a vertex count and a canonical
+    pair array. ``_adj`` caches Graph's adjacency."""
 
     __slots__ = ("n", "_edges", "_adj")
 
     def __init__(self, n, edges=None):
-        self.n, self._edges = _canonical(n, edges, "edge", undirected=True)
+        self.n, self._edges = _canonical(n, edges, self._WHAT, self._UNDIRECTED)
         self._adj = None
 
     @property
@@ -185,13 +182,34 @@ class Graph:
     def edge_count(self) -> int:
         return int(len(self._edges))
 
+    def _count(self, col) -> np.ndarray:
+        """Occurrences of each vertex in column ``col`` of the pairs."""
+        return np.bincount(self._edges[:, col], minlength=self.n)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and bool(np.array_equal(self._edges, other._edges))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, {self._WHAT}s={self.edge_count})"
+
+
+class Graph(_PairGraph):
+    """Undirected simple graph on vertices ``0..n-1``.
+
+    Edges are canonical: an (m, 2) int64 array with ``edges[:, 0] <
+    edges[:, 1]``, lexicographically sorted and free of duplicates.
+    """
+
+    __slots__ = ()
+
+    _WHAT = "edge"
+    _UNDIRECTED = True
+
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int64 array of length n."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(self._edges):
-            deg += np.bincount(self._edges[:, 0], minlength=self.n)
-            deg += np.bincount(self._edges[:, 1], minlength=self.n)
-        return deg
+        return self._count(0) + self._count(1)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor indices of vertex ``v``."""
@@ -208,56 +226,26 @@ class Graph:
         indptr, dst = self._adj
         return dst[indptr[v]:indptr[v + 1]]
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self._edges, other._edges))
 
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={self.edge_count})"
-
-
-class DiGraph:
+class DiGraph(_PairGraph):
     """Directed simple graph; arcs stored as a lexicographically sorted
     distinct (m, 2) int64 array of (tail, head) pairs.
     """
 
-    __slots__ = ("n", "_arcs")
+    __slots__ = ()
 
-    def __init__(self, n, arcs=None):
-        self.n, self._arcs = _canonical(n, arcs, "arc", undirected=False)
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self._arcs
-
-    @property
-    def edge_count(self) -> int:
-        return int(len(self._arcs))
+    _WHAT = "arc"
+    _UNDIRECTED = False
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(self._arcs):
-            deg += np.bincount(self._arcs[:, 0], minlength=self.n)
-        return deg
+        return self._count(0)
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(self._arcs):
-            deg += np.bincount(self._arcs[:, 1], minlength=self.n)
-        return deg
+        return self._count(1)
 
     def undirected_view(self) -> Graph:
         """Underlying undirected graph; opposite arcs merge into one edge."""
-        return Graph(self.n, self._arcs)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiGraph):
-            return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self._arcs, other._arcs))
-
-    def __repr__(self):
-        return f"DiGraph(n={self.n}, arcs={self.edge_count})"
+        return Graph(self.n, self._edges)
 
 
 def undirected_view(g) -> Graph:
@@ -561,17 +549,24 @@ def _candidate_pairs(P, tree, floor) -> np.ndarray:
     return np.column_stack([key // n, key % n])
 
 
+def _scaled_tree(P):
+    """(e, Q, tree): Q is P scaled by 2**-e, which brings the largest
+    coordinate magnitude into [0.5, 1), and the kd-tree indexes Q. The
+    scaling is exact, so Q has the geometry of P, but its distances
+    cannot overflow."""
+    e = math.frexp(float(np.abs(P).max()))[1]
+    Q = np.ldexp(P, -e)
+    return e, Q, cKDTree(Q)
+
+
 def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
     P = points.coords
     n = len(P)
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    # scaling by a power of two is exact, so the geometry of Q is that of P,
-    # but its incircle terms of degree 4 cannot overflow
-    e = math.frexp(float(np.abs(P).max()))[1]
-    Q = np.ldexp(P, -e)
+    # the incircle terms of degree 4 in Q cannot overflow
+    e, Q, tree = _scaled_tree(P)
     floor = math.ldexp(1.0, _FLOOR_EXP - e)
-    tree = cKDTree(Q)
     with np.errstate(over="ignore"):
         if np.ptp(P, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
             # the raw squared distances overflow and stop following the
@@ -629,13 +624,13 @@ def rng_naive(points) -> Graph:
     d2 = dx * dx + dy * dy
     edges = []
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            d2ij = d2[i, j]
-            inside = (d2[i] < d2ij) & (d2[j] < d2ij)
-            inside[i] = False
-            inside[j] = False
-            if not inside.any():
-                edges.append((i, j))
+        rows = np.arange(i + 1, n)
+        d2ij = d2[i, i + 1:, None]
+        inside = (d2[i] < d2ij) & (d2[rows] < d2ij)
+        inside[:, i] = False
+        inside[np.arange(len(rows)), rows] = False
+        for j in rows[~inside.any(axis=1)]:
+            edges.append((i, int(j)))
     return Graph(n, np.asarray(edges, dtype=np.int64) if edges else None)
 
 
@@ -752,18 +747,17 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     A row is settled by its k nearest points when every cone is: a winner
     strictly inside the search horizon cannot be displaced by a point not
     seen, and an empty cone is empty when its part of the bounding box
-    lies strictly inside the horizon (``_cone_reach``), or the search saw
-    every point. Two stages run; the rows left get an exact scan."""
+    lies strictly inside the horizon (``_cone_reach``). Two stages run,
+    k = 4p + 16 and then 4k, each only while k < n - 1; the rows left get
+    the exact scan."""
     n = len(P)
-    # the tree indexes P scaled by a power of two, which is exact, so its
-    # distances cannot overflow
-    e = math.frexp(float(np.abs(P).max()))[1]
-    Q = np.ldexp(P, -e)
-    tree = cKDTree(Q)
+    e, Q, tree = _scaled_tree(P)
     out = []
     pending = np.arange(n, dtype=np.int64)
-    k = min(n - 1, 4 * spec.p + 16)
+    k = 4 * spec.p + 16
     for _ in range(2):
+        if k >= n - 1:
+            break
         left = []
         B = max(1, _BLOCK // (k + 1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -771,9 +765,6 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
                 rows = pending[lo:lo + B]
                 dk, ik = tree.query(Q[rows], k=k + 1)
                 heads, hd2 = _cone_nearest(P, rows, np.sort(ik, axis=1), spec)
-                if k == n - 1:
-                    out.append(_as_arcs(rows, heads))
-                    continue
                 # every point not seen is at least this far away; the margin
                 # covers the rounding of both distances
                 h = dk[:, -1] * (1.0 - 1e-12)
@@ -787,7 +778,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
                 out.append(_as_arcs(rows[done], heads[done]))
                 left.append(rows[~done])
         pending = np.concatenate(left) if left else pending[:0]
-        k = min(n - 1, 4 * k)
+        k *= 4
     out.append(_yao_dense(P, spec, pending))
     return np.concatenate(out)
 

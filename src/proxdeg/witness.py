@@ -279,10 +279,9 @@ def count_staircases(points, c: float = 1.0, support: Region | None = None) -> i
 # Coordinatewise extrema
 
 
-def count_maxima(points) -> int:
-    """Number of points no other point beats strictly in both
-    coordinates."""
-    P = as_point_set(points).coords
+def _count_maxima(P) -> int:
+    """Maxima count of an (n, 2) array of distinct points, in one sorted
+    pass."""
     order = np.argsort(-P[:, 0], kind="stable")
     xs = P[order, 0]
     ys = P[order, 1]
@@ -296,7 +295,13 @@ def count_maxima(points) -> int:
     return int((ys >= best[first]).sum())
 
 
+def count_maxima(points) -> int:
+    """Number of points no other point beats strictly in both
+    coordinates."""
+    return _count_maxima(as_point_set(points).coords)
+
+
 def count_minima(points) -> int:
     """Number of points no other point beats strictly downward in both
     coordinates."""
-    return count_maxima(PointSet(-as_point_set(points).coords))
+    return _count_maxima(-as_point_set(points).coords)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import proxdeg
 from proxdeg import (
@@ -210,6 +212,7 @@ class TestDegreeMeasures:
         assert max_degree(self.star5) == 5
         assert max_degree(Graph(0)) == 0
         assert max_degree(Graph(4)) == 0
+        assert max_degree(DiGraph(0)) == 0
 
     def test_max_degree_of_directed_uses_undirected_view(self):
         d = DiGraph(3, [(0, 1), (1, 0), (2, 1)])
@@ -219,6 +222,7 @@ class TestDegreeMeasures:
         d = DiGraph(3, [(0, 1), (0, 2), (1, 2)])
         assert max_out_degree(d) == 2
         assert max_out_degree(DiGraph(0)) == 0
+        assert max_out_degree(DiGraph(3)) == 0
 
     def test_max_out_degree_rejects_undirected(self):
         with pytest.raises(ParameterError):
@@ -229,6 +233,7 @@ class TestDegreeMeasures:
         assert degree_histogram(self.star5) == (0, 5, 0, 0, 0, 1)
         assert degree_histogram(Graph(0)) == ()
         assert degree_histogram(Graph(3)) == (3,)
+        assert degree_histogram(DiGraph(0)) == ()
 
     def test_histogram_mass_equals_vertex_count(self):
         g = gabriel(sample_uniform(Region.unit_square(), 200, trial_generator(10, 0)))
@@ -282,10 +287,26 @@ class TestStretch:
         with pytest.raises(ParameterError):
             stretch_factor(Graph(3), PointSet([(0.0, 0.0), (1.0, 1.0)]))
 
-    def test_peak_memory_is_three_square_arrays(self):
-        # the path lengths, the coordinate differences and the distances:
-        # three n x n float64 arrays, the ratios written over the paths
-        n = 1500
+    def test_blocked_rows_match_whole_matrix(self):
+        # 2**18 // 700 = 374 rows a block, so the rows run in two blocks;
+        # the worst pair is the first maximum of the whole ratio matrix
+        n = 700
+        pts = uniform_points(seed=69, n=n)
+        g = gabriel(pts)
+        P = pts.coords
+        e = g.edges
+        w = np.hypot(*(P[e[:, 0]] - P[e[:, 1]]).T)
+        D = dijkstra(csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n)), directed=False)
+        euc = np.hypot(P[:, None, 0] - P[None, :, 0], P[:, None, 1] - P[None, :, 1])
+        np.fill_diagonal(euc, 1.0)
+        ratio = D / euc
+        u, v = divmod(int(np.argmax(ratio)), n)
+        assert stretch_details(g, pts) == (ratio[u, v], (u, v))
+
+    def test_peak_memory_is_linear_in_n(self):
+        # rows run in blocks of about 2**18 pairs, so the peak stays near
+        # a few such blocks; three n x n float64 arrays would be 206 MiB
+        n = 3000
         pts = uniform_points(seed=68, n=n)
         g = gabriel(pts)
         tracemalloc.start()
@@ -294,7 +315,7 @@ class TestStretch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * n * n
+        assert peak < 24 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

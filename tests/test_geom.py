@@ -231,17 +231,32 @@ class TestRegion:
             Region("unit-square", (Rect(0.0, 0.0, 1.0, 1.0),))
 
     def test_contains_mask_matches_scalar(self):
-        regions = [
-            Region.unit_square(),
-            Region.rotated_square(),
-            Region.rect_union([Rect(0.0, 0.0, 1.0, 0.5), Rect(0.0, 0.5, 0.5, 1.0)]),
+        # contains is contains_mask on one point, so both are checked
+        # against closed-membership formulas written out per kind, on
+        # random points and on quarter-grid points, which include every
+        # corner and edge of the unit square and the L-shape
+        rects = [(0.0, 0.0, 1.0, 0.5), (0.0, 0.5, 0.5, 1.0)]
+        formulas = [
+            (Region.unit_square(), lambda x, y: 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0),
+            (
+                Region.rotated_square(),
+                lambda x, y: abs(x - 0.5) + abs(y - 0.5) <= ROT_HALF_DIAG,
+            ),
+            (
+                Region.rect_union([Rect(*r) for r in rects]),
+                lambda x, y: any(
+                    x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in rects
+                ),
+            ),
         ]
         rng = np.random.default_rng(11)
-        pts = rng.random((300, 2)) * 2.0 - 0.5
-        for r in regions:
-            mask = r.contains_mask(pts)
-            for q, m in zip(pts, mask):
-                assert contains(r, q) == bool(m)
+        grid = [(i / 4.0, j / 4.0) for i in range(-2, 7) for j in range(-2, 7)]
+        pts = np.concatenate([rng.random((300, 2)) * 2.0 - 0.5, grid])
+        for r, inside in formulas:
+            want = [inside(float(x), float(y)) for x, y in pts]
+            assert r.contains_mask(pts).tolist() == want
+            assert [contains(r, q) for q in pts] == want
+            assert [r.contains(Point(*q)) for q in pts] == want
 
     def test_bbox(self):
         assert Region.unit_square().bbox == (0.0, 0.0, 1.0, 1.0)

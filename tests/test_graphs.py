@@ -89,6 +89,20 @@ class TestGraph:
         assert Graph(3, [(1, 0)]) == Graph(3, [(0, 1)])
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
         assert Graph(3) != Graph(4)
+        # same n and pairs, but an undirected graph is never a directed one
+        assert Graph(2, [(0, 1)]) != DiGraph(2, [(0, 1)])
+        assert DiGraph(2, [(0, 1)]) != Graph(2, [(0, 1)])
+
+    def test_repr(self):
+        assert repr(Graph(4, [(0, 1), (2, 3)])) == "Graph(n=4, edges=2)"
+        assert repr(DiGraph(3, [(0, 1), (1, 0), (2, 1)])) == "DiGraph(n=3, arcs=3)"
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_degrees(self, n):
+        d = DiGraph(n)
+        for deg in (Graph(n).degrees(), d.out_degrees(), d.in_degrees()):
+            assert deg.dtype == np.int64
+            assert deg.tolist() == [0] * n
 
     @pytest.mark.parametrize(
         "n, edges",
