@@ -176,6 +176,9 @@ class Region:
         if self.kind == RECT_UNION:
             if not self.rects:
                 raise ParameterError("rect-union region needs at least one rectangle")
+            for r in self.rects:
+                if not isinstance(r, Rect):
+                    raise ParameterError(f"rect-union elements must be Rect, got {r!r}")
             for i in range(len(self.rects)):
                 for j in range(i + 1, len(self.rects)):
                     if _interiors_overlap(self.rects[i], self.rects[j]):

@@ -144,7 +144,10 @@ def _canonical(n, pairs, what, undirected):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ParameterError(f"vertex count must be a nonnegative int, got {n!r}")
     n = int(n)
-    e = np.asarray([] if pairs is None else pairs, dtype=np.int64)
+    try:
+        e = np.asarray([] if pairs is None else pairs, dtype=np.int64)
+    except OverflowError:
+        raise ParameterError(f"{what} endpoint out of range") from None
     if e.size == 0:
         e = np.empty((0, 2), dtype=np.int64)
     elif e.ndim != 2 or e.shape[1] != 2:
@@ -279,9 +282,10 @@ def intersect(a, b) -> Graph:
 # Gabriel / relative-neighborhood pipeline
 
 
-def _ball_pairs(tree, rows, centres, radii):
-    """(row, point) pairs for every point of ``tree`` within each ball."""
-    lists = tree.query_ball_point(centres, radii)
+def _ball_pairs(tree, rows, centres, radii, p=2.0):
+    """(row, point) pairs for every point of ``tree`` within each
+    Minkowski-``p`` ball, grouped by ball."""
+    lists = tree.query_ball_point(centres, radii, p=p)
     cnt = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
     hits = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(cnt.sum()))
     return np.repeat(rows, cnt), hits
@@ -693,17 +697,17 @@ def _cone_nearest(P, rows, cols, spec: ConeSpec):
     return heads, hd2
 
 
-def _cone_reach(P, rows, spec: ConeSpec):
+def _cone_reach(P, rows, spec: ConeSpec, box):
     """Squared distance from each row point to the farthest point of each
-    cone, widened by ``_WIDEN``, within the points' bounding box.
+    cone, widened by ``_WIDEN``, within the points' bounding box ``box``,
+    a pair of corners (lo, hi).
 
     The farthest point of the clipped cone is a vertex: the exit of an edge
     ray from the box, or a box corner inside the cone. Corners are tested
     against a cone widened twice, so the rounding of their angles cannot
     drop one that matters. Overflow or a degenerate ray yields inf or nan,
     which certifies nothing."""
-    lo = P.min(axis=0)
-    hi = P.max(axis=0)
+    lo, hi = box
     u = P[rows]
     start = spec.offset + spec.theta * np.arange(spec.p) - _WIDEN
     ang = np.concatenate([start, start + spec.theta + 2.0 * _WIDEN])
@@ -752,6 +756,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     the exact scan."""
     n = len(P)
     e, Q, tree = _scaled_tree(P)
+    box = P.min(axis=0), P.max(axis=0)
     out = []
     pending = np.arange(n, dtype=np.int64)
     k = 4 * spec.p + 16
@@ -772,7 +777,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
                 H[~((h * h >= _TINY) & (H >= _TINY) & (H < np.inf))] = 0.0
                 empty = heads < 0
                 need = empty.any(axis=1)
-                reach = _cone_reach(P, rows[need], spec) * (1.0 + 1e-9)
+                reach = _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9)
                 hd2[need] = np.where(empty[need], reach, hd2[need])
                 done = (hd2 < H[:, None]).all(axis=1)
                 out.append(_as_arcs(rows[done], heads[done]))

@@ -12,17 +12,50 @@ Membership conventions: annuli are open at the inner radius and closed
 at the outer, step squares are closed, all comparisons run on squared
 distances or raw coordinates without epsilon.
 
-Both censuses run one scan: one kd-tree ball fetch around every
-candidate clear of the square's edges, then the exact per-point test
-that ``is_tiara`` or ``is_staircase`` runs, on each ball holding at
-least k points besides the centre.
+Census. Both censuses run one batched scan over the candidates clear
+of the square's edges, in the census metric: Euclidean for rings with
+radius R, L-infinity for staircases with radius r. A witness has
+exactly k points besides its centre within the radius under the raw
+test, so:
 
-The ring test counts the points within R vectorized, then takes each
-one's region from ``pearl_region_index``, the one definition of a
-region. A vectorized copy built on NumPy's ``arctan2`` would not agree
-with it: on some CPUs (AVX-512 builds among them) ``arctan2`` differs
-from ``math.atan2`` in the last bit for a few percent of directions,
-which moves a pearl within an ulp of a sector edge into the next sector.
+- a kd-tree query of the k + 2 nearest points of each candidate, centre
+  included, keeps a candidate only when its (k+1)-th nearest lies
+  within radius * (1 + 1e-9) and its (k+2)-th beyond radius *
+  (1 - 1e-9). The raw test and the kd-tree's distance differ by a few
+  ulps, far under 1e-9: the centre and the k points the raw test
+  counts are k + 1 points within the first bound, and a (k+2)-th point
+  within the second would be a (k+1)-th point the raw test counts. So
+  no witness is dropped. The query stops just past the first bound;
+  points beyond it read as inf, as do the missing neighbours when
+  k + 2 > n, and both pass the second test and fail the first.
+- The raw test leaves out the centre by its zero offset, and so would
+  leave out any point whose offset squares to zero; the kd-tree would
+  not. No other point has a zero offset: a ``PointSet`` has no
+  duplicates, and a candidate lies at least r inside the unit square,
+  so another point differs from it by at least 2**-54 r in some
+  coordinate, whose square is a normal double at every n that fits in
+  memory.
+- The survivors fetch their balls of radius * (1 + 1e-9), which hold
+  every point the raw test counts, as one CSR of (row, member) pairs.
+  ``_tiara_core`` and ``_staircase_core`` run on it vectorized, with
+  the raw-double expressions of the definitions: the exact count per
+  row by ``bincount``, then, on rows of exactly k, the ring's open inner
+  radius or each point's steps. ``is_tiara`` and ``is_staircase`` run
+  the same cores on one row holding every point.
+
+A step is closed, so a point on a shared corner lies in two steps. The
+step bounds i * (r/k) and r - i * (r/k) are monotone in i, so the steps
+holding a point are the integers between two binary searches of them.
+k points fill k steps once each exactly when each point lies in one
+step and no two share it.
+
+The ring test takes the regions of the k pearls, on rows that pass
+every vectorized test, from ``pearl_region_index``, the one definition
+of a region. A vectorized copy built on NumPy's ``arctan2`` would not
+agree with it: on some CPUs (AVX-512 builds among them) ``arctan2``
+differs from ``math.atan2`` in the last bit for a few percent of
+directions, which moves a pearl within an ulp of a sector edge into the
+next sector.
 """
 
 from __future__ import annotations
@@ -35,6 +68,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ParameterError, check_number
 from .geom import TWO_PI, UNIT_SQUARE, PointSet, Region, as_point_set
+from .graphs import _ball_pairs
 
 
 @dataclass(frozen=True)
@@ -87,27 +121,34 @@ def pearl_region_index(center, w, spec: PearlSpec) -> int | None:
     return s // 3 + 1
 
 
-def _tiara_core(cx, cy, X, Y, spec: PearlSpec) -> bool:
-    """Exact ring test given any superset of the points within R."""
-    dx = X - cx
-    dy = Y - cy
-    d2 = dx * dx + dy * dy
-    near = (d2 > 0.0) & (d2 <= spec.R * spec.R)
-    if int(near.sum()) != spec.k:
-        return False
-    regions = {
-        pearl_region_index((cx, cy), (x, y), spec)
-        for x, y in zip(X[near].tolist(), Y[near].tolist())
-    }
-    return regions == set(range(1, spec.k + 1))
+def _exact_k(row, near, m, k):
+    """Which of m rows have exactly k ``near`` members, and those members'
+    positions as one line of k per such row; ``row`` lists each member's
+    row in nondecreasing order."""
+    ok = np.bincount(row[near], minlength=m) == k
+    return ok, np.flatnonzero(near & ok[row]).reshape(-1, k)
+
+
+def _tiara_core(D, row, m, spec: PearlSpec) -> np.ndarray:
+    """Exact ring test of m centres, given offsets ``D[row == i]`` from
+    centre i to any superset of the points within R of it."""
+    d2 = D[:, 0] * D[:, 0] + D[:, 1] * D[:, 1]
+    ok, at = _exact_k(row, (d2 > 0.0) & (d2 <= spec.R * spec.R), m, spec.k)
+    rows = np.flatnonzero(ok)
+    ok[rows] = (d2[at] > spec.r * spec.r).all(axis=1)
+    regions = set(range(1, spec.k + 1))
+    for i, pearls in zip(rows, at):
+        if ok[i]:
+            ok[i] = {pearl_region_index((0.0, 0.0), w, spec) for w in D[pearls].tolist()} == regions
+    return ok
 
 
 def is_tiara(center, points, spec: PearlSpec) -> bool:
     """True iff the points of the set within distance R of ``center``
     (center itself excluded) are exactly one pearl per region, all
     strictly outside radius r."""
-    P = as_point_set(points).coords
-    return _tiara_core(center[0], center[1], P[:, 0], P[:, 1], spec)
+    D = as_point_set(points).coords - np.array(center[:2], dtype=np.float64)
+    return bool(_tiara_core(D, np.zeros(len(D), dtype=np.int64), 1, spec)[0])
 
 
 def make_tiara(spec: PearlSpec, center) -> PointSet:
@@ -145,31 +186,30 @@ class StaircaseSpec:
         return self.r / self.k
 
 
-def _staircase_core(cx, cy, X, Y, spec: StaircaseSpec) -> bool:
-    """Exact staircase test given any superset of the points within
-    L-infinity distance r of the corner."""
-    dx = X - cx
-    dy = Y - cy
-    near = (np.maximum(np.abs(dx), np.abs(dy)) <= spec.r) & ((dx != 0.0) | (dy != 0.0))
-    if int(near.sum()) != spec.k:
-        return False
-    dx = dx[near]
-    dy = dy[near]
-    st = spec.r / spec.k
-    i = np.arange(1, spec.k + 1, dtype=np.float64)[:, None]
-    inx = (dx[None, :] >= (i - 1.0) * st) & (dx[None, :] <= i * st)
-    iny = (dy[None, :] >= spec.r - i * st) & (dy[None, :] <= spec.r - (i - 1.0) * st)
-    memb = inx & iny
-    if not memb.any(axis=0).all():
-        return False
-    return bool((memb.sum(axis=1) == 1).all())
+def _staircase_core(D, row, m, spec: StaircaseSpec) -> np.ndarray:
+    """Exact staircase test of m corners, given offsets ``D[row == i]``
+    from corner i to any superset of the points within L-infinity
+    distance r of it."""
+    near = (np.abs(D).max(axis=1) <= spec.r) & (D != 0.0).any(axis=1)
+    ok, at = _exact_k(row, near, m, spec.k)
+    # step i holds b[i-1] <= dx <= b[i] and c[i-1] <= -dy <= c[i]; both
+    # lists ascend, so the steps holding a point run from lo to hi
+    b = np.arange(spec.k + 1, dtype=np.float64) * (spec.r / spec.k)
+    c = -(spec.r - b)
+    x = D[at, 0]
+    y = -D[at, 1]
+    lo = np.maximum(np.searchsorted(b[1:], x, "left"), np.searchsorted(c[1:], y, "left")) + 1
+    hi = np.minimum(np.searchsorted(b[:-1], x, "right"), np.searchsorted(c[:-1], y, "right"))
+    steps = np.sort(np.where(lo == hi, lo, 0), axis=1)
+    ok[ok] = (steps == np.arange(1, spec.k + 1)).all(axis=1)
+    return ok
 
 
 def is_staircase(center, points, spec: StaircaseSpec) -> bool:
     """True iff the points of the set within L-infinity distance r of
     ``center`` (center excluded) occupy the k steps exactly once each."""
-    P = as_point_set(points).coords
-    return _staircase_core(center[0], center[1], P[:, 0], P[:, 1], spec)
+    D = as_point_set(points).coords - np.array(center[:2], dtype=np.float64)
+    return bool(_staircase_core(D, np.zeros(len(D), dtype=np.int64), 1, spec)[0])
 
 
 def make_staircase(spec: StaircaseSpec, center) -> PointSet:
@@ -217,21 +257,16 @@ def _census_support(support: Region | None) -> Region:
 
 
 def _census(P, cand, spec, core, radius, p) -> np.ndarray:
-    """Indices in ``cand`` at which ``core`` finds the witness ``spec``.
-
-    One fetch: the Minkowski-``p`` ball of ``radius``, widened by 1e-9
-    relative so that kd-tree rounding drops no point the exact test
-    counts. A witness has exactly spec.k points besides its centre within
-    ``radius``, so a ball of at most k points skips the exact test.
-    """
-    if len(cand) == 0:
-        return cand
-    balls = cKDTree(P).query_ball_point(P[cand], radius * (1.0 + 1e-9), p=p)
-    hits = [
-        int(ci) for ci, mem in zip(cand, balls)
-        if len(mem) > spec.k and core(P[ci, 0], P[ci, 1], *P[mem].T, spec)
-    ]
-    return np.asarray(hits, dtype=np.int64)
+    """Indices in ``cand`` at which ``core`` finds the witness ``spec``
+    within the Minkowski-``p`` ball of ``radius``: a k + 2 nearest filter,
+    then one fetch and one ``core`` call on the survivors (see the module
+    docstring)."""
+    tree = cKDTree(P)
+    reach = radius * (1.0 + 1e-9)
+    d = tree.query(P[cand], k=spec.k + 2, p=p, distance_upper_bound=reach * (1.0 + 1e-9))[0]
+    cand = cand[(d[:, spec.k] <= reach) & (d[:, spec.k + 1] > radius * (1.0 - 1e-9))]
+    row, mem = _ball_pairs(tree, np.arange(len(cand)), P[cand], reach, p)
+    return cand[core(P[mem] - P[cand[row]], row, len(cand), spec)]
 
 
 def find_jewels(points, c: float = 1.0, support: Region | None = None) -> np.ndarray:

@@ -491,6 +491,13 @@ class TestStretchCommand:
         edges.write_text("0 9\n")
         assert main(["stretch", "--points", pts, "--graph-file", str(edges)]) == 1
 
+    def test_vertex_beyond_int64_is_runtime_error(self, tmp_path, capsys):
+        pts = write_points(tmp_path / "p.csv", SQUARE)
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 99999999999999999999\n")
+        assert main(["stretch", "--points", pts, "--graph-file", str(edges)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 # ---------------------------------------------------------------------------
 # entry points

@@ -226,6 +226,15 @@ class TestRegion:
         with pytest.raises(ParameterError):
             Region("pentagon")
 
+    @pytest.mark.parametrize("rects", [
+        [(0.0, 0.0, 1.0, 0.5)],
+        [(0.0, 0.0, 1.0, 0.5), (0.0, 0.5, 0.5, 1.0)],
+        [Rect(0.0, 0.0, 1.0, 0.5), "0 0.5 0.5 1"],
+    ])
+    def test_rect_union_takes_only_rects(self, rects):
+        with pytest.raises(ParameterError):
+            Region.rect_union(rects)
+
     def test_square_kinds_take_no_rects(self):
         with pytest.raises(ParameterError):
             Region("unit-square", (Rect(0.0, 0.0, 1.0, 1.0),))

@@ -114,6 +114,8 @@ class TestGraph:
             (3, [(-1, 0)]),
             (3, [(1, 1)]),
             (3, [(0, 1, 2)]),
+            (3, [(0, 2**70)]),  # beyond int64: ParameterError, not OverflowError
+            (3, [(-(2**70), 0)]),
         ],
     )
     def test_invalid_inputs(self, n, edges):

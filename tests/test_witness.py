@@ -492,6 +492,219 @@ class TestStaircaseCensus:
 
 
 # ---------------------------------------------------------------------------
+# census edge cases
+
+
+def tiara_reference(center, P, spec):
+    """The ring test as the definition reads, one point at a time."""
+    near = []
+    for x, y in P.tolist():
+        dx = x - center[0]
+        dy = y - center[1]
+        d2 = dx * dx + dy * dy
+        if 0.0 < d2 <= spec.R * spec.R:
+            near.append((x, y))
+    regions = {pearl_region_index(center, w, spec) for w in near}
+    return len(near) == spec.k and regions == set(range(1, spec.k + 1))
+
+
+def staircase_reference(center, P, spec):
+    """The staircase test as the definition reads: every point within
+    L-infinity distance r in some closed step, every step holding one."""
+    st = spec.r / spec.k
+    near = [
+        (x - center[0], y - center[1]) for x, y in P.tolist()
+        if max(abs(x - center[0]), abs(y - center[1])) <= spec.r
+        and (x, y) != tuple(center)
+    ]
+    if len(near) != spec.k:
+        return False
+    memb = [
+        [
+            (i - 1.0) * st <= dx <= i * st and spec.r - i * st <= dy <= spec.r - (i - 1.0) * st
+            for dx, dy in near
+        ]
+        for i in range(1, spec.k + 1)
+    ]
+    return all(any(col) for col in zip(*memb)) and all(sum(row) == 1 for row in memb)
+
+
+def detector_hits(pts, c, find):
+    """What ``find`` must return: the census candidates at which the
+    per-point detector holds. At every candidate the detector is also
+    checked against the written-out definition."""
+    P = pts.coords
+    x = P[:, 0]
+    y = P[:, 1]
+    if find is find_jewels:
+        spec = PearlSpec(*jewel_scale(pts.n, c))
+        clear = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
+        cand = np.flatnonzero(clear >= 2.0 * spec.r)
+        detect, reference = is_tiara, tiara_reference
+    else:
+        spec = StaircaseSpec(*staircase_scale(pts.n, c))
+        r = spec.r
+        cand = np.flatnonzero((x >= r) & (x <= 1.0 - r) & (y >= r) & (y <= 1.0 - r))
+        detect, reference = is_staircase, staircase_reference
+    hits = []
+    for i in cand.tolist():
+        got = detect(tuple(P[i]), pts, spec)
+        assert got == reference(tuple(P[i]), P, spec), i
+        if got:
+            hits.append(i)
+    return hits
+
+
+def plant_cases(n, cases, radius):
+    """n points: the centre and rows of each case, centres on a grid of
+    spacing 1/8, then uniform fillers at L-infinity distance over 3 *
+    radius from every centre. Returns the set and the centres' indices."""
+    g = np.arange(1, 8) / 8.0
+    rows, centres = [], []
+    for (cx, cy), case in zip([(x, y) for y in g for x in g], cases):
+        centres.append(len(rows))
+        rows.append((cx, cy))
+        rows.extend(case(cx, cy))
+    C = np.asarray(rows)[centres]
+    q = np.random.default_rng(68).random((4 * n, 2))
+    far = np.abs(q[:, None, :] - C[None, :, :]).max(axis=2).min(axis=1) > 3.0 * radius
+    return PointSet(np.vstack([rows, q[far][: n - len(rows)]])), centres
+
+
+def on_circle(cx, cy, d2):
+    """A point a hair clockwise of the ray from (cx, cy) along +x whose raw
+    squared offset from (cx, cy) is d2 exactly, and the next double in x
+    past it. Each step down in y rounds the sum afresh."""
+    for j in range(1, 10_000):
+        y = cy - j * 2.0 ** -30
+        dy2 = (y - cy) * (y - cy)
+        x = cx + math.sqrt(d2)
+        while (x - cx) * (x - cx) + dy2 > d2:
+            x = math.nextafter(x, -math.inf)
+        while (math.nextafter(x, math.inf) - cx) ** 2 + dy2 <= d2:
+            x = math.nextafter(x, math.inf)
+        if (x - cx) * (x - cx) + dy2 == d2:
+            return (x, y), (math.nextafter(x, math.inf), y)
+    raise AssertionError("no double offset hits d2")
+
+
+JEWEL = PearlSpec(*jewel_scale(2000))
+GAP = -2.5 * JEWEL.xi  # the middle of the gap after region 1
+
+
+def ring(cx, cy, first=None, extra=()):
+    """The rows of ``make_tiara`` around (cx, cy), the first pearl
+    replaced by ``first`` and ``extra`` rows added."""
+    rows = make_tiara(JEWEL, (cx, cy)).coords.tolist()
+    if first is not None:
+        rows[0] = first
+    return rows + list(extra)
+
+
+def gap_point(cx, cy, rho):
+    return [(cx + rho * math.cos(GAP), cy + rho * math.sin(GAP))]
+
+
+RING_CASES = [
+    # (case, witness?)
+    (lambda cx, cy: ring(cx, cy), True),
+    # a (k+1)-th point just inside R, and one just outside in the fetch slack
+    (lambda cx, cy: ring(cx, cy, extra=gap_point(cx, cy, JEWEL.R * (1.0 - 1e-12))), False),
+    (lambda cx, cy: ring(cx, cy, extra=gap_point(cx, cy, JEWEL.R * (1.0 + 1e-12))), True),
+    # a pearl on the closed outer circle, and one a double past it
+    (lambda cx, cy: ring(cx, cy, on_circle(cx, cy, JEWEL.R * JEWEL.R)[0]), True),
+    (lambda cx, cy: ring(cx, cy, on_circle(cx, cy, JEWEL.R * JEWEL.R)[1]), False),
+    # a pearl on the open inner circle, and one a double past it
+    (lambda cx, cy: ring(cx, cy, on_circle(cx, cy, JEWEL.r * JEWEL.r)[0]), False),
+    (lambda cx, cy: ring(cx, cy, on_circle(cx, cy, JEWEL.r * JEWEL.r)[1]), True),
+]
+
+# at n = 2048 and c = 1.1 the staircase has k = 4 steps of side 1/128 in a
+# square of side r = 1/32, so offsets from centres on the 1/8 grid and
+# every step bound are exact
+STAIR = StaircaseSpec(*staircase_scale(2048, 1.1))
+
+
+def stairs(cx, cy, points):
+    return [(cx + dx, cy + dy) for dx, dy in points]
+
+
+def steps(a, b):
+    """One point per step i at ((i - a) * step, r - (i - b) * step): its
+    lower left corner for (1, 0), its upper right for (0, 1) and the
+    corner it shares with step i + 1 for (0, 0)."""
+    s = STAIR.step
+    return [((i - a) * s, STAIR.r - (i - b) * s) for i in range(1, STAIR.k + 1)]
+
+
+STAIRCASE_CASES = [
+    (lambda cx, cy: make_staircase(STAIR, (cx, cy)).coords.tolist(), True),
+    # a (k+1)-th point just inside r, and one just outside in the fetch slack
+    (lambda cx, cy: make_staircase(STAIR, (cx, cy)).coords.tolist()
+     + [(cx - STAIR.r * (1.0 - 1e-12), cy)], False),
+    (lambda cx, cy: make_staircase(STAIR, (cx, cy)).coords.tolist()
+     + [(cx - STAIR.r * (1.0 + 1e-12), cy)], True),
+    # points on step corners: unshared ones belong to one step, shared
+    # ones to two, so a shared corner next to the next step's point
+    # doubles that step; (0, r) and (r, 0) lie on the ball's boundary
+    (lambda cx, cy: stairs(cx, cy, steps(1, 0)), True),
+    (lambda cx, cy: stairs(cx, cy, steps(0, 1)), True),
+    (lambda cx, cy: stairs(cx, cy, steps(0, 0)), False),
+    (lambda cx, cy: stairs(cx, cy, steps(0, 0)[:1] + steps(0, 1)[1:]), False),
+    (lambda cx, cy: stairs(cx, cy, [(0.0, STAIR.r)] + steps(1, 0)[1:-1] + [(STAIR.r, 0.0)]), True),
+]
+
+
+class TestCensusEdgeCases:
+    def test_ring_boundaries_match_detector(self):
+        pts, centres = plant_cases(2000, [case for case, _ in RING_CASES], JEWEL.R)
+        found = find_jewels(pts).tolist()
+        assert found == detector_hits(pts, 1.0, find_jewels)
+        assert [i in found for i in centres] == [hit for _, hit in RING_CASES]
+
+    def test_step_boundaries_match_detector(self):
+        pts, centres = plant_cases(2048, [case for case, _ in STAIRCASE_CASES], STAIR.r)
+        found = find_staircases(pts, 1.1).tolist()
+        assert found == detector_hits(pts, 1.1, find_staircases)
+        assert [i in found for i in centres] == [hit for _, hit in STAIRCASE_CASES]
+
+    def test_lattice_ties_at_the_radius(self):
+        # n = 2048 and c = 0.3 give one step, the square [0, r]^2 with
+        # r = 1/32. Pairs on a lattice of spacing 3r put each partner, and
+        # some partners of neighbouring pairs, at L-infinity distance
+        # exactly r; 1,886 fillers sit outside the unit square.
+        r = 1.0 / 32.0
+        offsets = [(r, r), (r, 0.0), (0.0, r), (r / 2, r), (-r, r), (r, -r / 2)]
+        g = 3.0 * r * np.arange(1, 10)
+        base = [(x, y) for y in g for x in g]
+        rows = []
+        for j, (x, y) in enumerate(base):
+            dx, dy = offsets[j % len(offsets)]
+            rows += [(x, y), (x + dx, y + dy)]
+        fill = 3.0 + np.random.default_rng(69).random((2048 - len(rows), 2))
+        pts = PointSet(np.vstack([rows, fill]))
+        found = find_staircases(pts, 0.3).tolist()
+        assert found == detector_hits(pts, 0.3, find_staircases)
+        assert 20 <= len(found) < len(base)
+
+    @pytest.mark.parametrize("find, make, spec_of", [
+        (find_jewels, make_tiara, lambda n, c: PearlSpec(*jewel_scale(n, c))),
+        (find_staircases, make_staircase, lambda n, c: StaircaseSpec(*staircase_scale(n, c))),
+    ], ids=["jewels", "staircases"])
+    def test_more_neighbours_than_points(self, find, make, spec_of):
+        # c = 10 at n = 20 asks for k = 27 points around a centre; c = 7
+        # asks for k = 19, so a witness fills the whole set and its
+        # (k+2)-th neighbour does not exist
+        pts = uniform_points(seed=70, n=20)
+        assert find(pts, 10.0).tolist() == []
+        spec = spec_of(20, 7.0)
+        assert spec.k == 19
+        centre = (0.5, 0.5) if find is find_jewels else (0.4, 0.4)
+        pts = PointSet(np.vstack([[centre], make(spec, centre).coords]))
+        assert find(pts, 7.0).tolist() == [0] == detector_hits(pts, 7.0, find)
+
+
+# ---------------------------------------------------------------------------
 # coordinatewise extrema
 
 
