@@ -62,6 +62,8 @@ class GraphKind:
             ConeSpec(self.p, self.offset)
         elif self.p is not None:
             raise ParameterError(f"{self.kind} graphs take no cone count")
+        elif self.offset != 0.0:
+            raise ParameterError(f"{self.kind} graphs take no cone offset")
         if self.kind == KIND_UDG:
             if self.radius is None:
                 raise ParameterError("udg graphs need a radius")

@@ -67,10 +67,10 @@ Yao. ``yao`` takes one path at every size. A kd-tree on the points
 scaled by a power of two gives each point its k nearest points, with
 k = 4p + 16 and then 4k for the points left. A stage runs only while
 k < n - 1; the points still left, or all of them once k would reach
-n - 1, get the one exact scan of every point (``_yao_dense``). The
-winner of a cone is the first minimum of the raw squared distance over
-neighbours sorted by index, so ties go to the smaller index. A point is
-settled when each of its cones is:
+n - 1, get the one exact scan of every point (``_yao_dense``). Both take
+one winner rule: the least raw squared distance in the cone, then the
+least index, which covers exact ties and cones whose points all lie at
+infinite distance alike. A point is settled when each of its cones is:
 
 - a cone with a winner strictly inside the horizon H, the squared
   distance of the k-th neighbour shrunk by a relative 1e-12 for the
@@ -85,12 +85,10 @@ settled when each of its cones is:
   that the rounding of its angle cannot drop it. That vertex's squared
   distance, times 1 + 1e-9, must be below H.
 
-The raw squared distances may overflow. Cone membership is kept apart
-from them, so a cone whose points all lie at infinite distance sends
-its arc to the smallest index, as the definition does. A horizon that
-overflows, or lies near the subnormal range where relative error bounds
-fail, is set to 0, and a vertex distance that overflows is inf; either
-way nothing is certified, and the point gets the exact scan.
+A horizon that overflows, or lies near the subnormal range where
+relative error bounds fail, is set to 0, and a vertex distance that
+overflows is inf; either way nothing is certified, and the point gets
+the exact scan.
 
 NumPy's arctan2 may differ from ``math.atan2`` in the last bit. Within
 1e-12 p of a cone edge, in units of cones, the index comes from
@@ -133,19 +131,33 @@ _OVERFLOW_EXP = 510
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# blocks and chunks of every chunked scan hold about this many
+# (row, point) pairs
+_BLOCK = 2 ** 18
+
 # nearest points to a pair's midpoint fetched before its whole ball
 _NEAREST = 8
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _canonical(n, pairs, what, undirected):
     """Validate a vertex count and an (m, 2) array of vertex pairs, and
     return both canonical: a read-only int64 array of distinct pairs in
     lexicographic order, each with u < v when ``undirected``."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParameterError(f"vertex count must be a nonnegative int, got {n!r}")
     n = int(n)
+    e = pairs
+    if not (isinstance(e, np.ndarray) and e.dtype.kind in "iu"):
+        e = np.asarray([] if e is None else e, dtype=object)
+        for x in e.flat:
+            if not _is_int(x):
+                raise ParameterError(f"{what} endpoint must be an int, got {x!r}")
     try:
-        e = np.asarray([] if pairs is None else pairs, dtype=np.int64)
+        e = np.asarray(e, dtype=np.int64)
     except OverflowError:
         raise ParameterError(f"{what} endpoint out of range") from None
     if e.size == 0:
@@ -270,12 +282,9 @@ def intersect(a, b) -> Graph:
     if ga.n != gb.n:
         raise ParameterError(f"vertex counts differ: {ga.n} != {gb.n}")
     n = ga.n
-    if n == 0 or ga.edge_count == 0 or gb.edge_count == 0:
-        return Graph(n)
     ka = ga.edges[:, 0] * n + ga.edges[:, 1]
     kb = gb.edges[:, 0] * n + gb.edges[:, 1]
-    kc = np.intersect1d(ka, kb, assume_unique=True)
-    return Graph(n, np.column_stack([kc // n, kc % n]))
+    return Graph(n, ga.edges[np.isin(ka, kb)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +333,7 @@ def _full_test(P, Q, tree, u, v, kind, slack):
     m = len(u)
     k = min(_NEAREST, len(P))
     out = np.zeros(m, dtype=bool)
-    B = 32768
+    B = _BLOCK // _NEAREST
     for lo in range(0, m, B):
         uu = u[lo:lo + B]
         vv = v[lo:lo + B]
@@ -641,10 +650,6 @@ def rng_naive(points) -> Graph:
 # ---------------------------------------------------------------------------
 # Yao graph
 
-
-# row blocks and dense chunks hold about this many (row, point) pairs
-_BLOCK = 2 ** 18
-
 # cone edges are widened by this angle for the bounding box test
 _WIDEN = 1e-9
 
@@ -654,14 +659,11 @@ _TINY = 2.0 ** -960
 
 
 def _cone_nearest(P, rows, cols, spec: ConeSpec):
-    """Per row and cone, the nearest of the row's ``cols`` in the cone and
-    its squared distance; the head is -1 where the cone holds none.
-
-    ``cols`` is an (m, k) array sorted along each row, or one sorted index
-    array shared by every row, so the first minimum breaks ties toward the
-    smaller index. The row itself lies in no cone. Cone membership is kept
-    apart from the distance, which may overflow: when every point of a cone
-    is at infinite distance, the first of them wins."""
+    """Per row and cone, the winner among the row's ``cols`` under the
+    module's rule and its squared distance; the head is -1 where the cone
+    holds none. ``cols`` is an (m, k) array of distinct indices per row, in
+    any order, or one index array shared by every row. The row itself
+    lies in no cone."""
     dx = P[cols, 0] - P[rows, 0][:, None]
     dy = P[cols, 1] - P[rows, 1][:, None]
     d2 = dx * dx + dy * dy
@@ -679,22 +681,20 @@ def _cone_nearest(P, rows, cols, spec: ConeSpec):
     y = dy.flat[near]
     for i in near[(x != 0.0) & (y != 0.0) & (np.abs(x) != np.abs(y))]:
         cone.flat[i] = cone_index((0.0, 0.0), (dx.flat[i], dy.flat[i]), spec) - 1
-    cols = np.broadcast_to(cols, cone.shape)
-    cone[cols == rows[:, None]] = -1
+    # one grouped minimum of the distance per (row, cone), then one of the
+    # index over the points at that minimum
     m = len(rows)
-    rl = np.arange(m)
-    heads = np.full((m, spec.p), -1, dtype=np.int64)
-    hd2 = np.full((m, spec.p), np.inf)
-    for c in range(spec.p):
-        inc = cone == c
-        dc = np.where(inc, d2, np.inf)
-        j = np.argmin(dc, axis=1)
-        far = dc[rl, j] == np.inf
-        j[far] = np.argmax(inc[far], axis=1)
-        hit = inc[rl, j]
-        heads[hit, c] = cols[rl[hit], j[hit]]
-        hd2[hit, c] = d2[rl[hit], j[hit]]
-    return heads, hd2
+    g = cone + np.arange(0, m * spec.p, spec.p)[:, None]
+    cols = np.broadcast_to(cols, g.shape)
+    # the row itself goes to the spare group m * p
+    g[cols == rows[:, None]] = m * spec.p
+    hd2 = np.full(m * spec.p + 1, np.inf)
+    np.minimum.at(hd2, g.ravel(), d2.ravel())
+    at = d2 == hd2[g]
+    heads = np.full(m * spec.p + 1, len(P))
+    np.minimum.at(heads, g[at], cols[at])
+    heads[heads == len(P)] = -1
+    return heads[:-1].reshape(m, spec.p), hd2[:-1].reshape(m, spec.p)
 
 
 def _cone_reach(P, rows, spec: ConeSpec, box):
@@ -769,7 +769,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
             for lo in range(0, len(pending), B):
                 rows = pending[lo:lo + B]
                 dk, ik = tree.query(Q[rows], k=k + 1)
-                heads, hd2 = _cone_nearest(P, rows, np.sort(ik, axis=1), spec)
+                heads, hd2 = _cone_nearest(P, rows, ik, spec)
                 # every point not seen is at least this far away; the margin
                 # covers the rounding of both distances
                 h = dk[:, -1] * (1.0 - 1e-12)

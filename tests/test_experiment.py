@@ -369,6 +369,7 @@ class TestGraphKind:
             {"kind": "intersection"},
             {"kind": "intersection", "parts": (GraphKind("gabriel"),)},
             {"kind": "gabriel", "parts": (GraphKind("rng"), GraphKind("gabriel"))},
+            {"kind": "gabriel", "offset": 0.3},
         ],
     )
     def test_invalid_specs(self, kwargs):

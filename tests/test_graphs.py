@@ -40,7 +40,7 @@ from proxdeg import (
     unit_disk_graph,
     yao,
 )
-from proxdeg.graphs import _yao_dense, _yao_knn
+from proxdeg.graphs import _cone_nearest, _yao_dense, _yao_knn
 
 from conftest import uniform_points
 
@@ -116,6 +116,10 @@ class TestGraph:
             (3, [(0, 1, 2)]),
             (3, [(0, 2**70)]),  # beyond int64: ParameterError, not OverflowError
             (3, [(-(2**70), 0)]),
+            (3, [(2.9, 1)]),  # not silently truncated to the edge (1, 2)
+            (3, [(True, 2)]),
+            (3, [("1", 2)]),
+            (3, [(float("nan"), 1)]),
         ],
     )
     def test_invalid_inputs(self, n, edges):
@@ -503,6 +507,28 @@ class TestYao:
         arcs = {(int(a), int(b)) for a, b in yao(pts, ConeSpec(4)).edges}
         assert (0, 1) in arcs
         assert (0, 2) not in arcs
+
+    def test_cone_winner_ignores_candidate_order(self):
+        # from point 0: three points tie at squared distance 25 in the first
+        # cone, and the third cone's points all lie at infinite squared
+        # distance; each cone goes to its smallest index, whatever the order
+        # of the candidate columns
+        P = np.array([
+            (0.0, 0.0), (4.0, 3.0), (3.0, 4.0), (5.0, 0.0),
+            (-1e155, -2e155), (-2e155, -1e155), (-1.5e155, -1.5e155),
+        ])
+        spec = ConeSpec(4)
+        rows = np.arange(len(P))
+        cols = np.tile(rows, (len(P), 1))
+        with np.errstate(over="ignore"):
+            heads, hd2 = _cone_nearest(P, rows, cols, spec)
+            shuffled = np.random.default_rng(0).permuted(cols, axis=1)
+            for order in (cols[:, ::-1], shuffled):
+                got_heads, got_hd2 = _cone_nearest(P, rows, order, spec)
+                assert np.array_equal(got_heads, heads)
+                assert np.array_equal(got_hd2, hd2)
+        assert heads[0].tolist() == [1, -1, 4, -1]
+        assert hd2[0].tolist() == [25.0, np.inf, np.inf, np.inf]
 
     def test_out_degree_bounded_by_cone_count(self):
         pts = uniform_points(seed=31, n=500)
