@@ -115,12 +115,8 @@ def _graph_kind(args) -> GraphKind:
     try:
         for nm in names:
             if nm == "yao":
-                if args.p is None:
-                    raise _UsageError("yao graphs need --p")
                 kinds.append(GraphKind("yao", p=args.p, offset=args.offset))
             elif nm == "udg":
-                if args.radius is None:
-                    raise _UsageError("udg graphs need --radius")
                 kinds.append(GraphKind("udg", radius=args.radius))
             elif nm in ("gabriel", "rng"):
                 kinds.append(GraphKind(nm))

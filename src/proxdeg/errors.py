@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the shared number check."""
+"""Exception types shared across the package, and the shared input checks."""
 
 import math
+import numbers
 
 
 class ProxdegError(Exception):
@@ -11,16 +12,34 @@ class ParameterError(ProxdegError, ValueError):
     """An argument violates a function's contract."""
 
 
-def check_number(name, value, zero_ok=False) -> float:
+def check_int(name, value, lo) -> int:
+    """Return ``value`` as an int. Raise ParameterError naming ``name``
+    unless it is an integer (any ``numbers.Integral``, NumPy's included,
+    but not a bool) and at least ``lo``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
+        raise ParameterError(f"{name} must be an int >= {lo}, got {value!r}")
+    return int(value)
+
+
+def check_real(name, value) -> float:
     """Return ``value`` as a float. Raise ParameterError naming ``name``
-    unless it is an int or float (not a bool), finite, and positive, or
-    zero as well with ``zero_ok``."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+    unless it is a finite real number (any ``numbers.Real``, NumPy's
+    included, but not a bool)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        if real and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the double range
+        pass
+    raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_number(name, value, zero_ok=False) -> float:
+    """``check_real``, and positive, or zero as well with ``zero_ok``."""
+    value = check_real(name, value)
+    if not (value > 0.0 or zero_ok and value == 0.0):
         sign = "nonnegative" if zero_ok else "positive"
-        raise ParameterError(f"{name} must be {sign} and finite, got {value!r}")
+        raise ParameterError(f"{name} must be {sign}, got {value!r}")
     return value
 
 

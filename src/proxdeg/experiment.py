@@ -20,7 +20,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ._version import VERSION as _VERSION
-from .errors import DisconnectedGraphError, ParameterError, TrialError, check_number
+from .errors import (
+    DisconnectedGraphError, ParameterError, TrialError, check_int, check_number, check_real,
+)
 from .geom import RECT_UNION, UNIT_SQUARE, ConeSpec, PointSet, Region, as_point_set
 from .graphs import (
     _BLOCK,
@@ -32,7 +34,7 @@ from .graphs import (
     undirected_view,
     yao,
 )
-from .witness import count_jewels, count_staircases
+from .witness import _census_support, count_jewels, count_staircases
 
 KIND_GABRIEL = "gabriel"
 KIND_RNG = "rng"
@@ -56,10 +58,11 @@ class GraphKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown graph kind {self.kind!r}")
+        object.__setattr__(self, "offset", check_real("offset", self.offset))
         if self.kind == KIND_YAO:
             if self.p is None:
                 raise ParameterError("yao graphs need a cone count p")
-            ConeSpec(self.p, self.offset)
+            object.__setattr__(self, "p", ConeSpec(self.p, self.offset).p)
         elif self.p is not None:
             raise ParameterError(f"{self.kind} graphs take no cone count")
         elif self.offset != 0.0:
@@ -67,7 +70,7 @@ class GraphKind:
         if self.kind == KIND_UDG:
             if self.radius is None:
                 raise ParameterError("udg graphs need a radius")
-            check_number("radius", self.radius)
+            object.__setattr__(self, "radius", check_number("radius", self.radius))
         elif self.radius is not None:
             raise ParameterError(f"{self.kind} graphs take no radius")
         if self.kind == KIND_INTERSECTION:
@@ -126,9 +129,7 @@ class ExperimentConfig:
         if not isinstance(self.support, Region):
             raise ParameterError("support must be a Region")
         for name, lo in (("n", 1), ("trials", 1), ("seed", 0), ("workers", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < lo:
-                raise ParameterError(f"{name} must be an int >= {lo}, got {v!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         if not self.measures:
             raise ParameterError("at least one measure is required")
         for m in self.measures:
@@ -136,11 +137,10 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown measure {m!r}")
         if "max_out_degree" in self.measures and self.graph_kind.kind != KIND_YAO:
             raise ParameterError("max_out_degree needs a yao graph")
-        check_number("jewel_c", self.jewel_c)
-        check_number("staircase_c", self.staircase_c)
-        census = {"jewel_count", "staircase_count"} & set(self.measures)
-        if census and self.support.kind != UNIT_SQUARE:
-            raise ParameterError("witness censuses need the unit square support")
+        for name in ("jewel_c", "staircase_c"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name)))
+        if _POINT_MEASURES & set(self.measures):
+            _census_support(self.support)
 
 
 @dataclass(frozen=True)
@@ -180,10 +180,8 @@ class TrialSummary:
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
     """The random stream owned by one trial; see the module docstring."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative int, got {seed!r}")
-    if not isinstance(trial, int) or isinstance(trial, bool) or trial < 0:
-        raise ParameterError(f"trial must be a nonnegative int, got {trial!r}")
+    seed = check_int("seed", seed, 0)
+    trial = check_int("trial", trial, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -197,9 +195,7 @@ def sample_uniform(region: Region, n: int, rng: np.random.Generator, meta=None) 
     """
     if not isinstance(region, Region):
         raise ParameterError(f"expected Region, got {type(region).__name__}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"n must be a nonnegative int, got {n!r}")
-    n = int(n)
+    n = check_int("n", n, 0)
     if region.kind == UNIT_SQUARE:
         pts = rng.random((n, 2))
     elif region.kind == RECT_UNION:
@@ -404,8 +400,7 @@ def theoretical_k(n, c: float = 1.0) -> float:
 
     Needs n >= 16 so the double logarithm is safely positive.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 16:
-        raise ParameterError(f"n must be an int >= 16, got {n!r}")
+    n = check_int("n", n, 16)
     c = check_number("c", c, zero_ok=True)
     return c * math.log(n) / math.log(math.log(n))
 
@@ -422,8 +417,7 @@ def chernoff_tail(mu: float, delta: float) -> float:
 
 def harmonic(m) -> float:
     """m-th harmonic number, terms summed smallest first."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ParameterError(f"m must be a nonnegative int, got {m!r}")
+    m = check_int("m", m, 0)
     if m == 0:
         return 0.0
     return float((1.0 / np.arange(m, 0, -1, dtype=np.float64)).sum())

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DuplicatePointError, ParameterError
+from .errors import DuplicatePointError, ParameterError, check_int, check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,11 +38,7 @@ class Point(namedtuple("Point", ("x", "y"))):
     __slots__ = ()
 
     def __new__(cls, x, y):
-        fx = float(x)
-        fy = float(y)
-        if not (math.isfinite(fx) and math.isfinite(fy)):
-            raise ParameterError(f"coordinates must be finite, got ({x!r}, {y!r})")
-        return super().__new__(cls, fx, fy)
+        return super().__new__(cls, check_real("x", x), check_real("y", y))
 
 
 def dist(a, b) -> float:
@@ -95,13 +91,10 @@ class ConeSpec:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 2:
-            raise ParameterError(f"cone count p must be an int >= 2, got {self.p!r}")
-        off = self.offset
-        if not (isinstance(off, (int, float)) and math.isfinite(off)):
-            raise ParameterError(f"offset must be finite, got {off!r}")
-        if not 0.0 <= off < TWO_PI:
-            raise ParameterError(f"offset must lie in [0, 2*pi), got {off!r}")
+        object.__setattr__(self, "p", check_int("cone count p", self.p, 2))
+        object.__setattr__(self, "offset", check_real("offset", self.offset))
+        if not 0.0 <= self.offset < TWO_PI:
+            raise ParameterError(f"offset must lie in [0, 2*pi), got {self.offset!r}")
 
     @property
     def theta(self) -> float:
@@ -135,9 +128,9 @@ class Rect:
     ymax: float
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_real(f.name, getattr(self, f.name)))
         vals = (self.xmin, self.ymin, self.xmax, self.ymax)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            raise ParameterError(f"rectangle bounds must be finite, got {vals!r}")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ParameterError(f"rectangle must have positive area, got {vals!r}")
 
@@ -255,7 +248,10 @@ class PointSet:
     __slots__ = ("coords", "meta")
 
     def __init__(self, coords, meta=None):
-        arr = np.array(coords, dtype=np.float64, copy=True)
+        try:
+            arr = np.array(coords, dtype=np.float64, copy=True)
+        except (TypeError, ValueError) as e:
+            raise ParameterError(f"coordinates must be numbers in (n, 2) rows: {e}") from None
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -284,7 +280,7 @@ class PointSet:
         return len(self.coords)
 
     def __getitem__(self, i: int) -> Point:
-        return Point(float(self.coords[i, 0]), float(self.coords[i, 1]))
+        return Point(*self.coords[i])
 
     def __iter__(self):
         for i in range(len(self.coords)):

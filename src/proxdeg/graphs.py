@@ -65,12 +65,12 @@ it.
 
 Yao. ``yao`` takes one path at every size. A kd-tree on the points
 scaled by a power of two gives each point its k nearest points, with
-k = 4p + 16 and then 4k for the points left. A stage runs only while
-k < n - 1; the points still left, or all of them once k would reach
-n - 1, get the one exact scan of every point (``_yao_dense``). Both take
-one winner rule: the least raw squared distance in the cone, then the
-least index, which covers exact ties and cones whose points all lie at
-infinite distance alike. A point is settled when each of its cones is:
+k = 4p + 16 and then 4k for the points left, each capped at n - 1, where
+a stage sees every point and settles all; the rest get the one exact
+scan of every point (``_yao_dense``). Both take one winner rule: the
+least raw squared distance in the cone, then the least index, which
+covers exact ties and cones whose points all lie at infinite distance
+alike. Below n - 1 a point is settled when each of its cones is:
 
 - a cone with a winner strictly inside the horizon H, the squared
   distance of the k-th neighbour shrunk by a relative 1e-12 for the
@@ -106,7 +106,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .errors import ParameterError, check_number
+from .errors import ParameterError, check_int, check_number
 from .geom import TWO_PI, ConeSpec, PointSet, as_point_set, cone_index
 
 GABRIEL = "gabriel"
@@ -139,23 +139,17 @@ _BLOCK = 2 ** 18
 _NEAREST = 8
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _canonical(n, pairs, what, undirected):
     """Validate a vertex count and an (m, 2) array of vertex pairs, and
     return both canonical: a read-only int64 array of distinct pairs in
     lexicographic order, each with u < v when ``undirected``."""
-    if not _is_int(n) or n < 0:
-        raise ParameterError(f"vertex count must be a nonnegative int, got {n!r}")
-    n = int(n)
+    n = check_int("vertex count", n, 0)
     e = pairs
     if not (isinstance(e, np.ndarray) and e.dtype.kind in "iu"):
         e = np.asarray([] if e is None else e, dtype=object)
-        for x in e.flat:
-            if not _is_int(x):
-                raise ParameterError(f"{what} endpoint must be an int, got {x!r}")
+        # one value of each type stands for all; the range test checks values
+        for x in {type(x): x for x in e.flat}.values():
+            check_int(f"{what} endpoint", x, 0)
     try:
         e = np.asarray(e, dtype=np.int64)
     except OverflowError:
@@ -181,7 +175,8 @@ def _canonical(n, pairs, what, undirected):
 
 class _PairGraph:
     """The body Graph and DiGraph share: a vertex count and a canonical
-    pair array. ``_adj`` caches Graph's adjacency."""
+    pair array. ``_adj`` caches Graph's adjacency or DiGraph's undirected
+    view; both classes are immutable."""
 
     __slots__ = ("n", "_edges", "_adj")
 
@@ -260,7 +255,9 @@ class DiGraph(_PairGraph):
 
     def undirected_view(self) -> Graph:
         """Underlying undirected graph; opposite arcs merge into one edge."""
-        return Graph(self.n, self._edges)
+        if self._adj is None:
+            self._adj = Graph(self.n, self._edges)
+        return self._adj
 
 
 def undirected_view(g) -> Graph:
@@ -752,8 +749,8 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     strictly inside the search horizon cannot be displaced by a point not
     seen, and an empty cone is empty when its part of the bounding box
     lies strictly inside the horizon (``_cone_reach``). Two stages run,
-    k = 4p + 16 and then 4k, each only while k < n - 1; the rows left get
-    the exact scan."""
+    k = 4p + 16 and then 4k, each capped at n - 1, where every row settles;
+    the rows left get the exact scan."""
     n = len(P)
     e, Q, tree = _scaled_tree(P)
     box = P.min(axis=0), P.max(axis=0)
@@ -761,8 +758,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     pending = np.arange(n, dtype=np.int64)
     k = 4 * spec.p + 16
     for _ in range(2):
-        if k >= n - 1:
-            break
+        k = min(k, n - 1)
         left = []
         B = max(1, _BLOCK // (k + 1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -779,7 +775,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
                 need = empty.any(axis=1)
                 reach = _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9)
                 hd2[need] = np.where(empty[need], reach, hd2[need])
-                done = (hd2 < H[:, None]).all(axis=1)
+                done = (hd2 < H[:, None]).all(axis=1) | (k == n - 1)
                 out.append(_as_arcs(rows[done], heads[done]))
                 left.append(rows[~done])
         pending = np.concatenate(left) if left else pending[:0]

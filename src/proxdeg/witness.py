@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError, check_number
+from .errors import ParameterError, check_int, check_number
 from .geom import TWO_PI, UNIT_SQUARE, PointSet, Region, as_point_set
 from .graphs import _ball_pairs
 
@@ -87,9 +87,8 @@ class PearlSpec:
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 3:
-            raise ParameterError(f"pearl count k must be an int >= 3, got {self.k!r}")
-        check_number("inner radius r", self.r)
+        object.__setattr__(self, "k", check_int("pearl count k", self.k, 3))
+        object.__setattr__(self, "r", check_number("inner radius r", self.r))
 
     @property
     def xi(self) -> float:
@@ -177,9 +176,8 @@ class StaircaseSpec:
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ParameterError(f"step count k must be an int >= 1, got {self.k!r}")
-        check_number("side r", self.r)
+        object.__setattr__(self, "k", check_int("step count k", self.k, 1))
+        object.__setattr__(self, "r", check_number("side r", self.r))
 
     @property
     def step(self) -> float:
@@ -226,8 +224,7 @@ def make_staircase(spec: StaircaseSpec, center) -> PointSet:
 
 
 def _witness_count(n: int, c: float, kmin: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 16:
-        raise ParameterError(f"census needs n >= 16, got {n!r}")
+    n = check_int("census size n", n, 16)
     c = check_number("scale constant c", c)
     return max(kmin, int(c * math.log(n) / math.log(math.log(n))))
 

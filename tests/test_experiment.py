@@ -1,5 +1,6 @@
 """Sampling, measures, the Monte Carlo driver and the closed forms."""
 
+import json
 import math
 import pickle
 import tracemalloc
@@ -67,6 +68,11 @@ class TestTrialGenerator:
     def test_invalid_arguments(self, seed, trial):
         with pytest.raises(ParameterError):
             trial_generator(seed, trial)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_ints_give_the_same_stream(self, int_type):
+        a = trial_generator(int_type(1), int_type(0)).random(16)
+        assert np.array_equal(a, trial_generator(1, 0).random(16))
 
 
 class TestSampleUniform:
@@ -370,11 +376,22 @@ class TestGraphKind:
             {"kind": "intersection", "parts": (GraphKind("gabriel"),)},
             {"kind": "gabriel", "parts": (GraphKind("rng"), GraphKind("gabriel"))},
             {"kind": "gabriel", "offset": 0.3},
+            {"kind": "yao", "p": 4, "offset": True},
+            {"kind": "gabriel", "offset": False},
         ],
     )
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ParameterError):
             GraphKind(**kwargs)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_scalars_stored_as_python_numbers(self, int_type):
+        yao = GraphKind("yao", p=int_type(8), offset=np.float32(0.5))
+        assert yao == GraphKind("yao", p=8, offset=0.5)
+        assert type(yao.p) is int and type(yao.offset) is float
+        assert json.loads(json.dumps(yao.describe())) == {"kind": "yao", "p": 8, "offset": 0.5}
+        udg = GraphKind("udg", radius=np.float32(0.25))
+        assert type(udg.radius) is float and udg.radius == 0.25
 
 
 def make_config(**overrides):
@@ -423,6 +440,17 @@ class TestExperimentConfig:
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ParameterError):
             make_config(**overrides)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_scalars_stored_as_python_numbers(self, int_type):
+        cfg = make_config(
+            n=int_type(40), trials=int_type(3), seed=int_type(17), workers=int_type(1),
+            jewel_c=np.float32(0.5), staircase_c=int_type(2),
+        )
+        assert cfg == make_config(jewel_c=0.5, staircase_c=2.0)
+        for name, t in [("n", int), ("trials", int), ("seed", int), ("workers", int),
+                        ("jewel_c", float), ("staircase_c", float)]:
+            assert type(getattr(cfg, name)) is t, name
 
     def test_census_and_out_degree_allowed_where_defined(self):
         make_config(measures=("jewel_count", "staircase_count"))

@@ -120,10 +120,17 @@ class TestConeSpec:
         with pytest.raises(ParameterError):
             ConeSpec(bad)
 
-    @pytest.mark.parametrize("bad", [-0.1, TWO_PI, 7.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-0.1, TWO_PI, 7.0, math.inf, math.nan, True])
     def test_bad_offset(self, bad):
         with pytest.raises(ParameterError):
             ConeSpec(4, bad)
+
+    @pytest.mark.parametrize("p", [np.int64(4), np.int32(4)])
+    @pytest.mark.parametrize("offset", [np.float32(0.5), np.int64(1)])
+    def test_numpy_scalars_stored_as_python_numbers(self, p, offset):
+        spec = ConeSpec(p, offset)
+        assert spec == ConeSpec(4, float(offset))
+        assert type(spec.p) is int and type(spec.offset) is float
 
 
 class TestConeIndex:
@@ -185,11 +192,17 @@ class TestRect:
     @pytest.mark.parametrize(
         "bounds",
         [(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0),
-         (0.0, 0.0, math.inf, 1.0), (0.0, math.nan, 1.0, 1.0)],
+         (0.0, 0.0, math.inf, 1.0), (0.0, math.nan, 1.0, 1.0),
+         (True, 0.0, 2.0, 1.0)],
     )
     def test_degenerate_rejected(self, bounds):
         with pytest.raises(ParameterError):
             Rect(*bounds)
+
+    def test_numpy_bounds_stored_as_floats(self):
+        r = Rect(np.float32(0.5), np.int64(0), np.int32(2), np.float32(1.25))
+        assert r == Rect(0.5, 0.0, 2.0, 1.25)
+        assert all(type(v) is float for v in (r.xmin, r.ymin, r.xmax, r.ymax))
 
 
 class TestRegion:
@@ -287,6 +300,14 @@ class TestPoint:
         with pytest.raises(ParameterError):
             Point(x, y)
 
+    @pytest.mark.parametrize(
+        "x,y", [("abc", 1), ("1.5", 1), (0.0, True), (10**400, 0.0)],
+        ids=["text", "numeric-text", "bool", "int-beyond-double"],
+    )
+    def test_non_numbers_rejected(self, x, y):
+        with pytest.raises(ParameterError):
+            Point(x, y)
+
 
 class TestPointSet:
     def test_basic_shape_and_access(self):
@@ -312,6 +333,11 @@ class TestPointSet:
     def test_bad_shape_rejected(self):
         with pytest.raises(ParameterError):
             PointSet([(0.0, 1.0, 2.0)])
+
+    @pytest.mark.parametrize("coords", [[("a", 1.0)], [[1.0, 2.0], [3.0]]], ids=["text", "ragged"])
+    def test_unreadable_rows_rejected(self, coords):
+        with pytest.raises(ParameterError):
+            PointSet(coords)
 
     def test_coords_are_frozen(self):
         ps = PointSet([(0.0, 1.0)])

@@ -40,6 +40,7 @@ from proxdeg import (
     unit_disk_graph,
     yao,
 )
+from proxdeg import graphs
 from proxdeg.graphs import _cone_nearest, _yao_dense, _yao_knn
 
 from conftest import uniform_points
@@ -126,6 +127,11 @@ class TestGraph:
         with pytest.raises(ParameterError):
             Graph(n, edges)
 
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_ints(self, int_type):
+        g = Graph(int_type(3), [(int_type(2), 0)])
+        assert g == Graph(3, [(0, 2)]) and type(g.n) is int
+
 
 class TestDiGraph:
     def test_arcs_keep_direction(self):
@@ -143,6 +149,8 @@ class TestDiGraph:
         g = d.undirected_view()
         assert isinstance(g, Graph)
         assert g.edges.tolist() == [[0, 1], [1, 2]]
+        # built once: the measures of one digraph share it
+        assert d.undirected_view() is g
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
@@ -556,6 +564,22 @@ class TestYao:
         assert np.array_equal(dense, knn)
         assert yao(pts, spec) == DiGraph(pts.n, dense)
 
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_neighbor_search_matches_dense_on_small_inputs(self, p, monkeypatch):
+        # up to 4p + 17 points the first stage sees every point; beyond, up
+        # to 4p + 70, the rows it leaves reach a second stage capped at
+        # n - 1. Either way the search settles every row, and the exact
+        # scan gets none
+        scanned = []
+        monkeypatch.setattr(
+            graphs, "_yao_dense", lambda P, spec, rows: scanned.append(len(rows)) or _yao_dense(P, spec, rows)
+        )
+        spec = ConeSpec(p)
+        for n in range(2, 4 * p + 71):
+            pts = uniform_points(seed=70 + n, n=n)
+            assert yao(pts, spec) == DiGraph(n, _yao_dense(pts.coords, spec)), n
+        assert sum(scanned) == 0
+
     @pytest.mark.parametrize("scale", [1e155, 1e160])
     def test_overflowing_distances_match_oracle(self, scale):
         # squared distances overflow to inf; a cone whose points are all at
@@ -642,6 +666,11 @@ class TestUnitDisk:
     def test_invalid_radius(self, radius):
         with pytest.raises(ParameterError):
             unit_disk_graph(PointSet([(0.0, 0.0)]), radius)
+
+    @pytest.mark.parametrize("radius", [np.float32(0.25), np.int64(1)])
+    def test_numpy_radius(self, radius):
+        pts = uniform_points(seed=53, n=60)
+        assert unit_disk_graph(pts, radius) == unit_disk_graph(pts, float(radius))
 
     def test_matches_brute_force(self):
         pts = uniform_points(seed=52, n=150)

@@ -62,6 +62,14 @@ class TestPearlSpec:
             PearlSpec(3, r)
 
 
+@pytest.mark.parametrize("make", [PearlSpec, StaircaseSpec])
+@pytest.mark.parametrize("k, r", [(np.int64(4), np.float32(0.25)), (np.int32(4), np.int64(1))])
+def test_specs_store_numpy_scalars_as_python_numbers(make, k, r):
+    spec = make(k, r)
+    assert spec == make(4, float(r))
+    assert type(spec.k) is int and type(spec.r) is float
+
+
 class TestPearlRegionIndex:
     spec = PearlSpec(3, 1.0)
 
@@ -303,6 +311,11 @@ class TestCensusScales:
     def test_scale_constant_multiplies(self):
         assert jewel_scale(10**6, c=2.0)[0] == 10
         assert staircase_scale(10**6, c=0.01)[0] == 1
+
+    @pytest.mark.parametrize("c", [np.float32(2.0), np.int64(2)])
+    def test_numpy_scale_constant(self, c):
+        assert jewel_scale(np.int64(10**6), c) == jewel_scale(10**6, 2.0)
+        assert staircase_scale(np.int32(10**6), c) == staircase_scale(10**6, 2.0)
 
     @pytest.mark.parametrize("n", [15, 0, -4, 16.0, True])
     def test_rejects_small_or_non_int_n(self, n):
