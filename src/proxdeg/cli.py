@@ -107,15 +107,26 @@ def _describe_region(region: Region) -> dict:
     return d
 
 
+def _check_graph_flags(names, args):
+    """A graph flag that no listed kind takes is a usage error, not a
+    flag silently dropped."""
+    if "yao" not in names and (args.p is not None or args.offset is not None):
+        raise _UsageError("--p and --offset apply only to --graph yao")
+    if "udg" not in names and args.radius is not None:
+        raise _UsageError("--radius applies only to --graph udg")
+
+
 def _graph_kind(args) -> GraphKind:
     names = [s.strip() for s in args.graph.split(",") if s.strip()]
     if not names:
         raise _UsageError("--graph needs at least one kind")
+    _check_graph_flags(names, args)
+    offset = 0.0 if args.offset is None else args.offset
     kinds = []
     try:
         for nm in names:
             if nm == "yao":
-                kinds.append(GraphKind("yao", p=args.p, offset=args.offset))
+                kinds.append(GraphKind("yao", p=args.p, offset=offset))
             elif nm == "udg":
                 kinds.append(GraphKind("udg", radius=args.radius))
             elif nm in ("gabriel", "rng"):
@@ -227,6 +238,7 @@ def _cmd_generate(args) -> int:
 def _cmd_build(args) -> int:
     pts = _read_points(args.points)
     if args.graph.strip() == "gabriel-naive":
+        _check_graph_flags(["gabriel-naive"], args)
         g = gabriel_naive(pts)
         kind_echo = {"kind": "gabriel-naive"}
     else:
@@ -402,7 +414,7 @@ def _add_graph_flags(sp, required=True, naive=False):
                     help="graph kind, or comma-joined kinds for their intersection: "
                          + ", ".join(kinds))
     sp.add_argument("--p", type=int, default=None, help="cone count for yao")
-    sp.add_argument("--offset", type=float, default=0.0,
+    sp.add_argument("--offset", type=float, default=None,
                     help="cone offset angle in [0, 2*pi) for yao (default 0)")
     sp.add_argument("--radius", type=float, default=None,
                     help="threshold distance for udg")

@@ -367,7 +367,8 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
 
     workers > 1 fans trials out to a process pool; trial ordering and
     results are identical either way because each trial owns its stream.
-    A worker process that dies raises TrialError for the first trial
+    A worker process that dies, or any other failure of the pool, such as
+    a result that fails to pickle, raises TrialError for the first trial
     whose result is missing.
     """
     if not isinstance(config, ExperimentConfig):
@@ -379,11 +380,15 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
             futures = [ex.submit(_run_one, config, t) for t in range(config.trials)]
             results = []
             for t, f in enumerate(futures):
+                # trials before t finished; t is the first that did not
                 try:
                     results.append(f.result())
+                except TrialError:
+                    raise
                 except BrokenProcessPool as e:
-                    # trials before t finished; t is the first that did not
                     raise TrialError(t, f"worker process died: {e}") from e
+                except Exception as e:
+                    raise TrialError(t, f"{type(e).__name__}: {e}") from e
     return TrialSummary(
         config=config,
         trials=tuple(results),

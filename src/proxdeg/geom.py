@@ -248,6 +248,12 @@ class PointSet:
     __slots__ = ("coords", "meta")
 
     def __init__(self, coords, meta=None):
+        if not (isinstance(coords, np.ndarray) and coords.dtype.kind in "fiu"):
+            # NumPy would read a bool or numeric text as a number; one value
+            # of each type stands for all
+            cells = np.asarray(coords, dtype=object)
+            for x in {type(x): x for x in cells.flat}.values():
+                check_real("coordinate", x)
         try:
             arr = np.array(coords, dtype=np.float64, copy=True)
         except (TypeError, ValueError) as e:

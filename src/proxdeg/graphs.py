@@ -63,32 +63,57 @@ the points it keeps, with no overlapping triangles outside the holes;
 differential tests against the references on adversarial layouts back
 it.
 
-Yao. ``yao`` takes one path at every size. A kd-tree on the points
-scaled by a power of two gives each point its k nearest points, with
-k = 4p + 16 and then 4k for the points left, each capped at n - 1, where
-a stage sees every point and settles all; the rest get the one exact
-scan of every point (``_yao_dense``). Both take one winner rule: the
-least raw squared distance in the cone, then the least index, which
-covers exact ties and cones whose points all lie at infinite distance
-alike. Below n - 1 a point is settled when each of its cones is:
+Yao. ``yao`` takes one path at every size, visiting points in the
+kd-tree's leaf order. The tree, on the points scaled by a power of two,
+gives each point its k nearest points, with k = 4p + 16 and then 4k for
+the points left, each capped at n - 1, where a stage sees every point and
+settles all. Every scan takes one winner rule: the least raw squared
+distance in the cone, then the least index, which covers exact ties and
+cones whose points all lie at infinite distance alike. Below n - 1 a
+cone is settled by:
 
-- a cone with a winner strictly inside the horizon H, the squared
-  distance of the k-th neighbour shrunk by a relative 1e-12 for the
-  rounding of both distances: every point not seen is farther;
-- an empty cone whose part of the bounding box lies strictly inside H,
-  so no point not seen can be in it. The test widens the cone by 1e-9
-  rad on each side, far beyond the error of a float cone index, so a
-  point the index puts in the cone lies in the widened cone. The
-  farthest point of the widened cone inside the box is a vertex of
-  their intersection: the exit of an edge ray from the box, or a box
-  corner inside the cone, tested against a cone widened once more so
-  that the rounding of its angle cannot drop it. That vertex's squared
-  distance, times 1 + 1e-9, must be below H.
+- a winner strictly inside the horizon H, the squared distance of the
+  k-th neighbour shrunk by a relative 1e-12 for the rounding of both
+  distances: every point not seen is farther;
+- no point seen, and its part of the bounding box strictly inside H, so
+  no point not seen can be in it. The test widens the cone by 1e-9 rad on
+  each side, far beyond the error of a float cone index, so a point the
+  index puts in the cone lies in the widened cone. The farthest point of
+  the widened cone inside the box is a vertex of their intersection: the
+  exit of an edge ray from the box, or a box corner inside the cone,
+  tested against a cone widened once more so that the rounding of its
+  angle cannot drop it. That vertex's squared distance, times 1 + 1e-9,
+  must be below H.
+
+A point with a cone left open after both stages scans only the blocks
+that can hold that cone's winner. Blocks are the tree's largest subtrees
+of at most 32 points, and groups its largest of at most sqrt(8n). For
+a point u and a box [lo, hi], float subtraction, squaring and addition
+are monotone, so every point w of the box has each rounded difference
+w - u between those of lo and hi, and its raw squared distance between
+the box's lower bound, from the nearer ends (0 where u lies between),
+and its far corner's distance. Both bounds are exact, with no margin. An
+open cone's upper bound U is its search winner's raw squared distance
+(inf if none), or the far corner's distance of a group or block lying
+wholly inside the cone narrowed by 1e-9 rad, as every point there is in
+the cone. A box misses the widened cone when its corners' rounded
+differences lie strictly on the outer side of an edge line, or, for
+p >= 3 where a cone is narrower than pi, behind the line normal to the
+bisector; for p = 2 it misses one cone when it lies inside the other,
+narrowed. Each test takes the greatest dot product over the corners,
+with a margin of 1e-12 of the corner's size plus 2**-1000 for its
+rounding, so a box that misses holds no point the index puts in the
+cone. A group, and then a block of a kept group, is kept when its box
+meets an open cone with lower bound <= U; each open cone's winner is
+taken among the points of the kept blocks, and a settled cone keeps the
+search's. The bound is <=, not <, because a point at distance U with a
+smaller index wins the tie; the winner's block always passes.
 
 A horizon that overflows, or lies near the subnormal range where
 relative error bounds fail, is set to 0, and a vertex distance that
-overflows is inf; either way nothing is certified, and the point gets
-the exact scan.
+overflows is inf; either way nothing is certified, and the point goes to
+the block scan, where an infinite U or an overflowing margin only keeps
+more blocks.
 
 NumPy's arctan2 may differ from ``math.atan2`` in the last bit. Within
 1e-12 p of a cone edge, in units of cones, the index comes from
@@ -647,46 +672,53 @@ def rng_naive(points) -> Graph:
 # ---------------------------------------------------------------------------
 # Yao graph
 
-# cone edges are widened by this angle for the bounding box test
+# cone edges are widened or narrowed by this angle for the box tests
 _WIDEN = 1e-9
 
 # squared lengths below this are subnormal or close to it and lose their
 # relative precision, so they settle nothing
 _TINY = 2.0 ** -960
 
+# most points in a block of the exact scan
+_LEAF = 32
 
-def _cone_nearest(P, rows, cols, spec: ConeSpec):
-    """Per row and cone, the winner among the row's ``cols`` under the
-    module's rule and its squared distance; the head is -1 where the cone
-    holds none. ``cols`` is an (m, k) array of distinct indices per row, in
-    any order, or one index array shared by every row. The row itself
-    lies in no cone."""
-    dx = P[cols, 0] - P[rows, 0][:, None]
-    dy = P[cols, 1] - P[rows, 1][:, None]
+
+def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
+    """Per row and cone, the winner under the module's rule among the
+    candidate pairs (``rows[slot]``, ``cols``) and its squared distance; the
+    head is -1 where the cone holds none. The pairs may come in any order
+    and repeat; a row paired with itself lies in no cone."""
+    # gathers from the column views beat indexing P by (cols, 0)
+    x, y = P[:, 0], P[:, 1]
+    dx = x[cols] - x[rows][slot]
+    dy = y[cols] - y[rows][slot]
     d2 = dx * dx + dy * dy
-    a = np.arctan2(dy, dx) - spec.offset
-    # a % TWO_PI for a in [-3*pi, pi], bit for bit: adding one or two
+    r = np.arctan2(dy, dx)
+    r -= spec.offset
+    # r % TWO_PI for r in [-3*pi, pi], bit for bit: adding one or two
     # TWO_PI rounds once, as the float remainder does, at a tenth the cost
-    a += ((a < 0.0).astype(np.float64) + (a < -TWO_PI)) * TWO_PI
-    r = a / spec.theta
-    cone = np.minimum(r.astype(np.int64), spec.p - 1)
+    r += ((r < 0.0).astype(np.float64) + (r < -TWO_PI)) * TWO_PI
+    r /= spec.theta
+    cone = r.astype(np.int64)
+    np.minimum(cone, spec.p - 1, out=cone)
     # NumPy's arctan2 may differ from math.atan2 in the last bit (it does on
     # CPUs with AVX-512), so near a cone edge take the index cone_index
     # gives; both return the rounded multiple of pi/4 on axes and diagonals
-    near = np.flatnonzero(np.abs(r - np.rint(r)) <= 1e-12 * spec.p)
-    x = dx.flat[near]
-    y = dy.flat[near]
+    edge = np.rint(r)
+    edge -= r
+    near = np.flatnonzero(np.abs(edge, out=edge) <= 1e-12 * spec.p)
+    x = dx[near]
+    y = dy[near]
     for i in near[(x != 0.0) & (y != 0.0) & (np.abs(x) != np.abs(y))]:
-        cone.flat[i] = cone_index((0.0, 0.0), (dx.flat[i], dy.flat[i]), spec) - 1
+        cone[i] = cone_index((0.0, 0.0), (dx[i], dy[i]), spec) - 1
     # one grouped minimum of the distance per (row, cone), then one of the
     # index over the points at that minimum
     m = len(rows)
-    g = cone + np.arange(0, m * spec.p, spec.p)[:, None]
-    cols = np.broadcast_to(cols, g.shape)
+    g = slot * spec.p + cone
     # the row itself goes to the spare group m * p
-    g[cols == rows[:, None]] = m * spec.p
+    g[cols == rows[slot]] = m * spec.p
     hd2 = np.full(m * spec.p + 1, np.inf)
-    np.minimum.at(hd2, g.ravel(), d2.ravel())
+    np.minimum.at(hd2, g, d2)
     at = d2 == hd2[g]
     heads = np.full(m * spec.p + 1, len(P))
     np.minimum.at(heads, g[at], cols[at])
@@ -721,51 +753,163 @@ def _cone_reach(P, rows, spec: ConeSpec, box):
     return np.maximum(ends, np.where(inside, cd2[..., None], 0.0).max(axis=1))
 
 
+def _cone_lines(spec: ConeSpec):
+    """Weights (5, 5p) that give, from a box's corner offsets (lo_x, lo_y,
+    hi_x, hi_y) minus the row point and a margin, the greatest dot product
+    over its corners, plus the margin, with the normal of each of 5p lines
+    through the row point. Per cone, the lines are the edges of the widened
+    cone and the bisector's normal line, each with the cone on its
+    nonnegative side, then the edges of the narrowed cone, each with the
+    narrowed cone on its negative side. The greatest dot product takes, per
+    axis, the end the normal points to."""
+    start = spec.offset + spec.theta * np.arange(spec.p)
+    lo, hi = start - _WIDEN, start + spec.theta + _WIDEN
+    nlo, nhi = start + _WIDEN, start + spec.theta - _WIDEN
+    mid = start + 0.5 * spec.theta
+    nx = np.concatenate([-np.sin(lo), np.sin(hi), np.cos(mid), np.sin(nlo), -np.sin(nhi)])
+    ny = np.concatenate([np.cos(lo), -np.cos(hi), np.sin(mid), -np.cos(nlo), np.cos(nhi)])
+    return np.stack([
+        np.minimum(nx, 0.0), np.minimum(ny, 0.0), np.maximum(nx, 0.0), np.maximum(ny, 0.0), np.ones_like(nx),
+    ])
+
+
+def _box_cones(u, box, lines):
+    """Row points ``u``, coordinates first, against boxes ``box``, rows
+    lo_x, lo_y, hi_x, hi_y first, broadcast together: per cone first,
+    whether the box meets the widened cone and whether it lies wholly
+    inside the narrowed one; and the least and greatest raw squared
+    distance from u to a point of the box."""
+    v = box - np.concatenate([u, u])
+    near = np.maximum(np.maximum(v[:2], -v[2:]), 0.0)
+    far = np.maximum(-v[:2], v[2:])
+    least = near[0] * near[0] + near[1] * near[1]
+    most = far[0] * far[0] + far[1] * far[1]
+    # past this margin for the rounding of the dot products, the whole box
+    # lies strictly on a line's negative side
+    tol = 1e-12 * (far[0] + far[1]) + 2.0 ** -1000
+    w = np.concatenate([v, tol[None]]).reshape(5, -1)
+    off = (lines.T @ w < 0.0).reshape((-1,) + tol.shape)
+    p = len(off) // 5
+    inside = off[3 * p:4 * p] & off[4 * p:]
+    if p == 2:
+        # half-plane cones: a box misses one cone when it lies inside the other
+        meets = ~inside[::-1]
+    else:
+        meets = ~(off[:p] | off[p:2 * p] | off[2 * p:3 * p])
+    return meets, inside, least, most
+
+
+def _leaf_cuts(tree):
+    """Starts, in the tree's leaf order, of its largest subtrees of at most
+    ``_LEAF`` points (blocks) and of at most sqrt(8n) points (groups). A row
+    tests every group and the blocks of the few groups it keeps, so groups
+    of about sqrt(n) points balance the two."""
+    group = math.sqrt(8.0 * tree.n)
+    blocks, groups = [], []
+    stack = [(tree.tree, False)]
+    while stack:
+        node, grouped = stack.pop()
+        if not grouped and node.children <= group:
+            groups.append(node.start_idx)
+            grouped = True
+        if node.children <= _LEAF or node.lesser is None:
+            blocks.append(node.start_idx)
+        else:
+            stack += [(node.greater, grouped), (node.lesser, grouped)]
+    return np.array(blocks), np.array(groups)
+
+
+def _spread(slot, first, stop):
+    """Each ``slot`` paired with every index of its range [first, stop)."""
+    count = stop - first
+    at = np.repeat(first - np.cumsum(count) + count, count)
+    return np.repeat(slot, count), at + np.arange(len(at))
+
+
 def _as_arcs(rows, heads) -> np.ndarray:
     """(row, head) arcs for every cone that has a head."""
     has = heads >= 0
     return np.column_stack([np.repeat(rows, has.sum(axis=1)), heads[has]])
 
 
-def _yao_dense(P, spec: ConeSpec, rows=None) -> np.ndarray:
-    """Exact cone scan of ``rows`` (default: every point) against all
-    points, in row chunks of about ``_BLOCK`` pairs."""
+def _yao_dense(P, spec: ConeSpec) -> np.ndarray:
+    """Exact cone scan of every point against all points, in row chunks of
+    about ``_BLOCK`` pairs: the reference the tests compare with."""
     n = len(P)
     cols = np.arange(n)
-    rows = cols if rows is None else rows
     B = max(1, _BLOCK // n)
-    out = [np.empty((0, 2), dtype=np.int64)]
+    out = []
     with np.errstate(over="ignore"):
+        for lo in range(0, n, B):
+            r = cols[lo:lo + B]
+            slot = np.repeat(np.arange(len(r)), n)
+            out.append(_as_arcs(r, _cone_nearest(P, r, slot, np.tile(cols, len(r)), spec)[0]))
+    return np.concatenate(out)
+
+
+def _yao_blocks(P, spec: ConeSpec, tree, rows, heads, bound) -> np.ndarray:
+    """Arcs of ``rows`` from the blocks of ``tree`` that can hold the
+    winners of their open cones. ``heads`` are the search's winners and
+    ``bound`` their raw squared distances (inf where none), -inf in the
+    cones the search settled, which keep their heads."""
+    n = len(P)
+    order = tree.indices
+    first, gfirst = _leaf_cuts(tree)
+    Po = P[order]
+    box = np.vstack([np.minimum.reduceat(Po, first).T, np.maximum.reduceat(Po, first).T])
+    gfirst = np.searchsorted(first, gfirst)
+    gbox = np.vstack([np.minimum.reduceat(box[:2], gfirst, axis=1), np.maximum.reduceat(box[2:], gfirst, axis=1)])
+    stop = np.append(first[1:], n)
+    gstop = np.append(gfirst[1:], len(first))
+    lines = _cone_lines(spec)
+    out = []
+    B = max(1, _BLOCK // n)
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(rows), B):
             r = rows[lo:lo + B]
-            out.append(_as_arcs(r, _cone_nearest(P, r, cols, spec)[0]))
+            U = bound[lo:lo + B].T
+            # groups, then the blocks of the groups that pass; a box wholly
+            # inside a narrowed cone bounds its winner by its far corner
+            meets, inside, least, most = _box_cones(P[r].T[:, :, None], gbox[:, None, :], lines)
+            U = np.minimum(U, np.where(inside, most, np.inf).min(axis=2))
+            slot, g = np.nonzero((meets & (least <= U[:, :, None])).any(axis=0))
+            slot, b = _spread(slot, gfirst[g], gstop[g])
+            meets, inside, least, most = _box_cones(P[r[slot]].T, box[:, b], lines)
+            c, i = np.nonzero(inside)
+            np.minimum.at(U, (c, slot[i]), most[i])
+            keep = (meets & (least <= U[:, slot])).any(axis=0)
+            slot, at = _spread(slot[keep], first[b[keep]], stop[b[keep]])
+            h = _cone_nearest(P, r, slot, order[at], spec)[0]
+            out.append(_as_arcs(r, np.where(bound[lo:lo + B] < 0.0, heads[lo:lo + B], h)))
     return np.concatenate(out)
 
 
 def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
-    """Staged nearest-neighbour search with an exact scan of the rest.
+    """Staged nearest-neighbour search, then a scan of nearby blocks for
+    the rows it leaves.
 
-    A row is settled by its k nearest points when every cone is: a winner
-    strictly inside the search horizon cannot be displaced by a point not
-    seen, and an empty cone is empty when its part of the bounding box
-    lies strictly inside the horizon (``_cone_reach``). Two stages run,
-    k = 4p + 16 and then 4k, each capped at n - 1, where every row settles;
-    the rows left get the exact scan."""
+    Rows go in kd-tree leaf order. A cone is settled by a row's k nearest
+    points when its winner lies strictly inside the search horizon, or when
+    it has none and its part of the bounding box lies strictly inside the
+    horizon (``_cone_reach``). Two stages run, k = 4p + 16 and then 4k,
+    each capped at n - 1, where every row settles; the rows with a cone
+    left open go to ``_yao_blocks``."""
     n = len(P)
     e, Q, tree = _scaled_tree(P)
     box = P.min(axis=0), P.max(axis=0)
     out = []
-    pending = np.arange(n, dtype=np.int64)
+    pending = tree.indices
     k = 4 * spec.p + 16
     for _ in range(2):
         k = min(k, n - 1)
-        left = []
+        left = [(pending[:0], np.empty((0, spec.p), dtype=np.int64), np.empty((0, spec.p)))]
         B = max(1, _BLOCK // (k + 1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for lo in range(0, len(pending), B):
                 rows = pending[lo:lo + B]
                 dk, ik = tree.query(Q[rows], k=k + 1)
-                heads, hd2 = _cone_nearest(P, rows, ik, spec)
+                slot = np.repeat(np.arange(len(rows)), k + 1)
+                heads, hd2 = _cone_nearest(P, rows, slot, ik.ravel(), spec)
                 # every point not seen is at least this far away; the margin
                 # covers the rounding of both distances
                 h = dk[:, -1] * (1.0 - 1e-12)
@@ -773,14 +917,16 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
                 H[~((h * h >= _TINY) & (H >= _TINY) & (H < np.inf))] = 0.0
                 empty = heads < 0
                 need = empty.any(axis=1)
-                reach = _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9)
-                hd2[need] = np.where(empty[need], reach, hd2[need])
-                done = (hd2 < H[:, None]).all(axis=1) | (k == n - 1)
+                reach = hd2.copy()
+                reach[need] = np.where(empty[need], _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9), hd2[need])
+                settled = reach < H[:, None]
+                done = settled.all(axis=1) | (k == n - 1)
                 out.append(_as_arcs(rows[done], heads[done]))
-                left.append(rows[~done])
-        pending = np.concatenate(left) if left else pending[:0]
+                left.append((rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]))
+        pending, heads, bound = (np.concatenate(a) for a in zip(*left))
         k *= 4
-    out.append(_yao_dense(P, spec, pending))
+    if len(pending):
+        out.append(_yao_blocks(P, spec, tree, pending, heads, bound))
     return np.concatenate(out)
 
 

@@ -20,6 +20,14 @@ def die_in_worker(config, trial):
     os._exit(3)
 
 
+def unpicklable_result(config, trial):
+    """Stands in for the per-trial function of a pool worker whose result
+    cannot be pickled back: a measure value that is a lambda."""
+    from proxdeg import TrialResult
+
+    return TrialResult(trial=trial, n=config.n, values={"max_degree": lambda: 0})
+
+
 @pytest.fixture
 def square_corners() -> PointSet:
     return PointSet([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])

@@ -212,6 +212,37 @@ class TestBuild:
         assert main(["build", "--graph", "udg", "--points", pts]) == 2
         assert main(["build", "--points", pts]) == 2
 
+    @pytest.mark.parametrize(
+        "graph, flags",
+        [
+            ("gabriel", ["--offset", "1.0", "--p", "5"]),
+            ("gabriel", ["--p", "4"]),
+            ("rng", ["--offset", "0.0"]),
+            ("gabriel-naive", ["--p", "4"]),
+            ("udg", ["--radius", "0.5", "--p", "4"]),
+            ("gabriel,rng", ["--offset", "0.3"]),
+            ("yao", ["--p", "4", "--radius", "0.5"]),
+            ("gabriel", ["--radius", "0.5"]),
+        ],
+    )
+    def test_flag_no_listed_kind_takes(self, tmp_path, graph, flags):
+        # a flag that no listed kind takes is a usage error, not dropped
+        pts = write_points(tmp_path / "p.csv", [(0.0, 0.0), (1.0, 0.0), (0.3, 0.7)])
+        assert main(["build", "--graph", graph, "--points", pts] + flags) == 2
+
+    @pytest.mark.parametrize(
+        "graph, flags",
+        [
+            ("gabriel,yao", ["--p", "4"]),
+            ("yao", ["--p", "4", "--offset", "0.3"]),
+            ("udg,yao", ["--radius", "2.0", "--p", "3"]),
+        ],
+    )
+    def test_flags_of_a_listed_kind(self, tmp_path, graph, flags):
+        pts = write_points(tmp_path / "p.csv", [(0.0, 0.0), (1.0, 0.0), (0.3, 0.7)])
+        out = str(tmp_path / "e.csv")
+        assert main(["build", "--graph", graph, "--points", pts, "--out", out] + flags) == 0
+
     def test_runtime_errors(self, tmp_path):
         missing = str(tmp_path / "nope.csv")
         assert main(["build", "--graph", "gabriel", "--points", missing]) == 1

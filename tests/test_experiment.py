@@ -39,7 +39,7 @@ from proxdeg import (
     trial_generator,
 )
 
-from conftest import die_in_worker, uniform_points
+from conftest import die_in_worker, uniform_points, unpicklable_result
 
 L_SHAPE = [Rect(0.0, 0.0, 1.0, 0.5), Rect(0.0, 0.5, 0.5, 1.0)]
 
@@ -552,6 +552,15 @@ class TestRunTrials:
             run_trials(make_config(trials=3, workers=2))
         assert exc.value.trial == 0
         assert "worker process died" in str(exc.value)
+
+    def test_unpicklable_result_is_trial_error(self, monkeypatch):
+        # the worker cannot send the result back; the pool's own exception
+        # (an AttributeError or PicklingError) becomes a TrialError
+        monkeypatch.setattr(proxdeg.experiment, "_run_one", unpicklable_result)
+        with pytest.raises(TrialError) as exc:
+            run_trials(make_config(trials=3, workers=2))
+        assert exc.value.trial == 0
+        assert "pickle" in str(exc.value)
 
     def test_trial_error_pickles(self):
         err = TrialError(3, "DisconnectedGraphError: no path")

@@ -339,6 +339,39 @@ class TestPointSet:
         with pytest.raises(ParameterError):
             PointSet(coords)
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(True, "1.5"), (0, 0)],
+            [(True, 1.0)],
+            [("1.5", 0.0)],
+            np.array([[True, False]]),
+            np.array([["1.5", "0"]]),
+            np.array([[1.0, "2"]], dtype=object),
+            [(0.0, None)],
+            [(0.0, 1j)],
+        ],
+        ids=["bool-and-text", "bool", "text", "bool-array", "text-array", "object-array", "none", "complex"],
+    )
+    def test_non_numbers_rejected(self, coords):
+        # NumPy would convert the first to [[1.0, 1.5], [0.0, 0.0]]
+        with pytest.raises(ParameterError):
+            PointSet(coords)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(0, 1), (2, 3)],
+            [(np.float32(0.5), np.int64(1)), (2.0, 3)],
+            np.array([[0, 1], [2, 3]], dtype=np.int32),
+            np.array([[0.5, 1.0]], dtype=np.float32),
+            np.array([[0.5, 1.0]], dtype=object),
+        ],
+        ids=["ints", "numpy-scalars", "int-array", "float32-array", "object-array"],
+    )
+    def test_real_numbers_accepted(self, coords):
+        assert PointSet(coords) == PointSet(np.asarray(coords, dtype=np.float64))
+
     def test_coords_are_frozen(self):
         ps = PointSet([(0.0, 1.0)])
         with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ or turn subnormal. The Yao builder's exact scan is checked against an
 independent pure-python oracle on the same families, and its staged
 neighbor search against the exact scan on layouts large enough to need
 the search: ties, points on cone edges, deep clusters, rings and
-overflowing distances.
+overflowing distances. The scan of nearby blocks that follows the search
+is checked on layouts where a spy shows rows reaching it.
 """
 
 import math
@@ -30,12 +31,16 @@ from proxdeg import (
     Graph,
     ParameterError,
     PointSet,
+    Rect,
+    Region,
     cone_index,
     gabriel,
     gabriel_naive,
     intersect,
     rng_graph,
     rng_naive,
+    sample_uniform,
+    trial_generator,
     undirected_view,
     unit_disk_graph,
     yao,
@@ -479,6 +484,55 @@ def yao_families():
     ]
 
 
+def spy_block_scan(monkeypatch):
+    """The number of rows each call of the block scan gets, as a list that
+    fills while the test runs."""
+    seen = []
+    scan = graphs._yao_blocks
+
+    def spy(P, spec, tree, rows, heads, bound):
+        seen.append(len(rows))
+        return scan(P, spec, tree, rows, heads, bound)
+
+    monkeypatch.setattr(graphs, "_yao_blocks", spy)
+    return seen
+
+
+def box_edges(m, inner, seed):
+    """``m - 1`` dyadic points on each edge of the unit square, none on a
+    corner, plus ``inner`` uniform points inside."""
+    t = np.arange(1, m) / m
+    zeros, ones = np.zeros_like(t), np.ones_like(t)
+    edges = np.column_stack([
+        np.concatenate([t, t, zeros, ones]), np.concatenate([zeros, ones, t, t]),
+    ])
+    return np.vstack([edges, np.random.default_rng(seed).random((inner, 2))])
+
+
+def block_scan_families():
+    """Layouts, each with a cone offset, whose rows reach the block scan:
+    rows near an empty part of the bounding box (the rotated square's
+    corners, the L's notch, the ring's outside, points on the box's edges),
+    exact ties (a lattice), squared distances that overflow or underflow
+    and so settle nothing, and clusters far below the box."""
+    rng = np.random.default_rng(90)
+    L = Region.rect_union([Rect(0.0, 0.0, 1.0, 0.5), Rect(0.0, 0.5, 0.5, 1.0)])
+    xs, ys = np.meshgrid(np.arange(40) / 40.0, np.arange(40) / 40.0)
+    uniform = rng.random((1000, 2))
+    clusters = [c + 1e-12 * rng.random((200, 2)) for c in rng.random((5, 2))]
+    return [
+        ("rotated-square-3000", sample_uniform(Region.rotated_square(), 3000, trial_generator(91, 0)).coords, 0.0),
+        ("L-shape-3000", sample_uniform(L, 3000, trial_generator(92, 0)).coords, 0.0),
+        ("L-shape-3000-offset", sample_uniform(L, 3000, trial_generator(93, 0)).coords, 2.5),
+        ("ring-3000", ring(3000), 0.0),
+        ("box-edges", box_edges(256, 1000, 96), 0.0),
+        ("lattice-40", np.column_stack([xs.ravel(), ys.ravel()]), 0.0),
+        ("uniform-1000-1e155", 1e155 * uniform, 0.0),
+        ("uniform-1000-1e-300", 1e-300 * uniform, 1.0),
+        ("clusters-5x200-1e-12", np.vstack(clusters + [rng.random((500, 2))]), 0.0),
+    ]
+
+
 def yao_oracle(pts, spec):
     """Per point and per cone, keep the neighbor minimizing (squared
     distance, index); independent of the production scan order."""
@@ -527,14 +581,20 @@ class TestYao:
         ])
         spec = ConeSpec(4)
         rows = np.arange(len(P))
-        cols = np.tile(rows, (len(P), 1))
+        slot = np.repeat(rows, len(P))
+        cols = np.tile(rows, len(P))
         with np.errstate(over="ignore"):
-            heads, hd2 = _cone_nearest(P, rows, cols, spec)
-            shuffled = np.random.default_rng(0).permuted(cols, axis=1)
-            for order in (cols[:, ::-1], shuffled):
-                got_heads, got_hd2 = _cone_nearest(P, rows, order, spec)
+            heads, hd2 = _cone_nearest(P, rows, slot, cols, spec)
+            shuffled = np.random.default_rng(0).permutation(len(cols))
+            for order in (np.arange(cols.size)[::-1], shuffled):
+                got_heads, got_hd2 = _cone_nearest(P, rows, slot[order], cols[order], spec)
                 assert np.array_equal(got_heads, heads)
                 assert np.array_equal(got_hd2, hd2)
+            # repeated pairs change nothing
+            twice = np.concatenate([shuffled, shuffled])
+            got_heads, got_hd2 = _cone_nearest(P, rows, slot[twice], cols[twice], spec)
+            assert np.array_equal(got_heads, heads)
+            assert np.array_equal(got_hd2, hd2)
         assert heads[0].tolist() == [1, -1, 4, -1]
         assert hd2[0].tolist() == [25.0, np.inf, np.inf, np.inf]
 
@@ -568,12 +628,9 @@ class TestYao:
     def test_neighbor_search_matches_dense_on_small_inputs(self, p, monkeypatch):
         # up to 4p + 17 points the first stage sees every point; beyond, up
         # to 4p + 70, the rows it leaves reach a second stage capped at
-        # n - 1. Either way the search settles every row, and the exact
+        # n - 1. Either way the search settles every row, and the block
         # scan gets none
-        scanned = []
-        monkeypatch.setattr(
-            graphs, "_yao_dense", lambda P, spec, rows: scanned.append(len(rows)) or _yao_dense(P, spec, rows)
-        )
+        scanned = spy_block_scan(monkeypatch)
         spec = ConeSpec(p)
         for n in range(2, 4 * p + 71):
             pts = uniform_points(seed=70 + n, n=n)
@@ -614,17 +671,54 @@ class TestYao:
         assert {(int(a), int(b)) for a, b in dense} == yao_oracle(pts, spec)
         assert yao(pts, spec) == DiGraph(pts.n, dense)
 
+    @pytest.mark.parametrize("p", [4, 8])
+    @pytest.mark.parametrize(
+        "name, coords, offset", [pytest.param(*f, id=f[0]) for f in block_scan_families()]
+    )
+    def test_block_scan_matches_dense(self, name, coords, offset, p, monkeypatch):
+        # the staged search leaves rows on every one of these layouts, and
+        # the scan of nearby blocks must give the exact scan's arcs
+        scanned = spy_block_scan(monkeypatch)
+        pts = PointSet(coords)
+        spec = ConeSpec(p, offset=offset)
+        assert yao(pts, spec) == DiGraph(pts.n, _yao_dense(pts.coords, spec))
+        assert sum(scanned) > 0
+
+    @pytest.mark.parametrize("p", [4, 8])
+    @pytest.mark.parametrize(
+        "name, coords, offset",
+        [
+            ("ring-400", ring(400), 0.3),
+            ("box-edges-400", box_edges(64, 148, 97), 0.0),
+            ("uniform-400-1e155", 1e155 * np.random.default_rng(94).random((400, 2)), 0.3),
+            ("uniform-400-1e-300", 1e-300 * np.random.default_rng(95).random((400, 2)), 0.3),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_block_scan_matches_oracle(self, name, coords, offset, p, monkeypatch):
+        scanned = spy_block_scan(monkeypatch)
+        pts = PointSet(coords)
+        spec = ConeSpec(p, offset=offset)
+        assert {(int(a), int(b)) for a, b in yao(pts, spec).edges} == yao_oracle(pts, spec)
+        assert sum(scanned) > 0
+
     @pytest.mark.parametrize(
         "layout, p",
-        [(lambda: uniform_points(seed=60, n=30000), 12), (lambda: PointSet(ring(3000)), 8)],
-        ids=["uniform-30000", "ring-3000"],
+        [
+            (lambda: uniform_points(seed=60, n=30000), 12),
+            (lambda: PointSet(ring(3000)), 8),
+            (lambda: PointSet(ring(10000)), 8),
+        ],
+        ids=["uniform-30000", "ring-3000", "ring-10000"],
     )
     def test_bounded_cost(self, layout, p):
         # a search that cannot settle a row with an empty cone before
         # scanning every point takes 9 s and 550 MB on the first input; on
-        # the ring nearly every row needs the exact scan, so each search
-        # stage beyond two only adds cost. Both inputs take 0.6-1.2 s and
-        # at most 31 MB, so the bounds leave three-fold headroom or more
+        # the rings every row needs the block scan, so each search stage
+        # beyond two only adds cost. Scanning all points for those rows
+        # takes 3.6-7.5 s on the larger ring; the block scan takes 1.1-1.5 s
+        # there and the others 0.4-1.2 s, all at most 31 MB, so the bounds
+        # leave about three-fold headroom or more
         pts = layout()
         spec = ConeSpec(p)
         t0 = time.perf_counter()
