@@ -248,16 +248,17 @@ class PointSet:
     __slots__ = ("coords", "meta")
 
     def __init__(self, coords, meta=None):
-        if not (isinstance(coords, np.ndarray) and coords.dtype.kind in "fiu"):
-            # NumPy would read a bool or numeric text as a number; one value
-            # of each type stands for all
-            cells = np.asarray(coords, dtype=object)
-            for x in {type(x): x for x in cells.flat}.values():
-                check_real("coordinate", x)
+        numeric = isinstance(coords, np.ndarray) and coords.dtype.kind in "fiu"
         try:
             arr = np.array(coords, dtype=np.float64, copy=True)
+            cells = None if numeric else np.asarray(coords, dtype=object)
         except (TypeError, ValueError) as e:
             raise ParameterError(f"coordinates must be numbers in (n, 2) rows: {e}") from None
+        if cells is not None:
+            # NumPy reads a bool or numeric text as a number; one value of
+            # each type stands for all
+            for x in {type(x): x for x in cells.flat}.values():
+                check_real("coordinate", x)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:

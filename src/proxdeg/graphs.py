@@ -87,11 +87,12 @@ cone is settled by:
 
 A point with a cone left open after both stages scans only the blocks
 that can hold that cone's winner. Blocks are the tree's largest subtrees
-of at most 32 points, and groups its largest of at most sqrt(8n). For
-a point u and a box [lo, hi], float subtraction, squaring and addition
-are monotone, so every point w of the box has each rounded difference
-w - u between those of lo and hi, and its raw squared distance between
-the box's lower bound, from the nearer ends (0 where u lies between),
+of at most 32 points, and groups its largest of at most max(sqrt(8n),
+32), so that every block lies in a group. For a point u and a box
+[lo, hi], float subtraction, squaring and addition are monotone, so
+every point w of the box has each rounded difference w - u between
+those of lo and hi, and its raw squared distance between the box's
+lower bound, from the nearer ends (0 where u lies between),
 and its far corner's distance. Both bounds are exact, with no margin. An
 open cone's upper bound U is its search winner's raw squared distance
 (inf if none), or the far corner's distance of a group or block lying
@@ -801,10 +802,12 @@ def _box_cones(u, box, lines):
 
 def _leaf_cuts(tree):
     """Starts, in the tree's leaf order, of its largest subtrees of at most
-    ``_LEAF`` points (blocks) and of at most sqrt(8n) points (groups). A row
-    tests every group and the blocks of the few groups it keeps, so groups
-    of about sqrt(n) points balance the two."""
-    group = math.sqrt(8.0 * tree.n)
+    ``_LEAF`` points (blocks) and of at most max(sqrt(8n), ``_LEAF``)
+    points (groups). A row tests every group and the blocks of the few
+    groups it keeps, so groups of about sqrt(n) points balance the two. A
+    group is never smaller than a block, so every block lies in one; the
+    tree's leaves hold at most 16 points, fewer than a block."""
+    group = max(math.sqrt(8.0 * tree.n), _LEAF)
     blocks, groups = [], []
     stack = [(tree.tree, False)]
     while stack:

@@ -350,8 +350,12 @@ class TestPointSet:
             np.array([[1.0, "2"]], dtype=object),
             [(0.0, None)],
             [(0.0, 1j)],
+            [np.zeros((2, 2)), np.zeros((2, 3))],
         ],
-        ids=["bool-and-text", "bool", "text", "bool-array", "text-array", "object-array", "none", "complex"],
+        ids=[
+            "bool-and-text", "bool", "text", "bool-array", "text-array", "object-array", "none", "complex",
+            "ragged-arrays",
+        ],
     )
     def test_non_numbers_rejected(self, coords):
         # NumPy would convert the first to [[1.0, 1.5], [0.0, 0.0]]

@@ -702,6 +702,25 @@ class TestYao:
         assert {(int(a), int(b)) for a, b in yao(pts, spec).edges} == yao_oracle(pts, spec)
         assert sum(scanned) > 0
 
+    @pytest.mark.parametrize("p, left, mid, right", [(2, 30, 40, 30), (3, 31, 50, 35)])
+    def test_block_scan_small_tree_with_tied_split(self, p, left, mid, right, monkeypatch):
+        # a column of points on the median splits off the ``left`` points
+        # as one block of more than sqrt(8n) points; grouping by sqrt(8n)
+        # alone left that block outside every group and out of the scan.
+        # At 1e-300 no squared distance settles a cone, so every row pends
+        scanned = spy_block_scan(monkeypatch)
+        rng = np.random.default_rng(0)
+        pts = PointSet(1e-300 * np.vstack([
+            np.column_stack([0.5 * rng.random(left), rng.random(left)]),
+            np.column_stack([np.full(mid, 0.5), rng.random(mid)]),
+            np.column_stack([1.0 - 0.5 * rng.random(right), rng.random(right)]),
+        ]))
+        spec = ConeSpec(p)
+        got = yao(pts, spec)
+        assert got == DiGraph(pts.n, _yao_dense(pts.coords, spec))
+        assert {(int(a), int(b)) for a, b in got.edges} == yao_oracle(pts, spec)
+        assert sum(scanned) == pts.n
+
     @pytest.mark.parametrize(
         "layout, p",
         [
