@@ -56,12 +56,35 @@ under 2**-500 input units and such close points fall into holes, which
 pair them all. Above it they overflow: a pair whose squared length is
 infinite has every other point with a finite distance as a witness, so
 input spanning 2**510 or more takes every pair as a candidate; its
-output can hold most pairs anyway.
+output can hold most pairs anyway. Such a pair is tested against every
+point in bounded chunks rather than through a ball holding them all.
 
 The argument assumes that Qhull's output is a valid triangulation of
 the points it keeps, with no overlapping triangles outside the holes;
 differential tests against the references on adversarial layouts back
-it.
+it. It does not depend on the order of the input: Qhull runs on the
+points in the kd-tree's leaf order, so that near points are near in
+memory, and the order only changes choices the candidates cover anyway,
+such as which diagonal of a cocircular quadrilateral it draws or which
+point of a coplanar pair it drops.
+
+Testing. Each candidate comes with two points to test first, the
+vertices opposite its edge in the two adjacent triangles. In exact
+arithmetic a Delaunay edge is a Gabriel edge exactly when neither lies
+in its disk, that is, when neither angle opposite the edge is obtuse
+(the fact behind Matula & Sokal's result), and most pairs that are not
+relative-neighborhood edges have one in the lune. The test is the raw
+predicate itself, and a real point that passes it is a witness, so a
+pair it kills is no edge of the reference either: the kill needs no
+allowance and no step of its own in the argument. Where a pair has no
+opposite vertex (one side of a hull edge, the antipode, hole and line
+pairs, and every pair when all pairs are candidates) one of its own ends
+stands in, which the predicate never counts; the other diagonal of a
+cocircular quadrilateral takes the shared edge's ends. The survivors
+fetch their nearest points to the midpoint: three for Gabriel, where a
+surviving edge's ends are the two nearest, so the third decides, and
+four for the relative neighborhood graph, whose lune's ball holds more
+points.
 
 Yao. ``yao`` takes one path at every size, visiting points in the
 kd-tree's leaf order. The tree, on the points scaled by a power of two,
@@ -161,8 +184,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # (row, point) pairs
 _BLOCK = 2 ** 18
 
-# nearest points to a pair's midpoint fetched before its whole ball
-_NEAREST = 8
+# nearest points to a pair's midpoint fetched before its whole ball. A
+# Gabriel edge's ends are the two nearest, so the third decides; the
+# lune's ball holds more points, and one more settles most RNG pairs
+_NEAREST = {GABRIEL: 3, RNG: 4}
 
 
 def _canonical(n, pairs, what, undirected):
@@ -325,12 +350,13 @@ def _ball_pairs(tree, rows, centres, radii, p=2.0):
 
 def _inside(P, wit, u, v, mid, duv2, kind):
     """Whether each point ``wit`` lies strictly inside the open region of
-    the pair (u, v) in the same row; never for u and v themselves."""
+    the pair (u, v) in the same row, the arguments broadcast together;
+    never for u and v themselves."""
     wx = P[wit, 0]
     wy = P[wit, 1]
     if kind == GABRIEL:
-        ddx = wx - mid[:, 0]
-        ddy = wy - mid[:, 1]
+        ddx = wx - mid[..., 0]
+        ddy = wy - mid[..., 1]
         inside = ddx * ddx + ddy * ddy < duv2 / 4.0
     else:
         dux = wx - P[u, 0]
@@ -341,47 +367,81 @@ def _inside(P, wit, u, v, mid, duv2, kind):
     return inside & (wit != u) & (wit != v)
 
 
-def _full_test(P, Q, tree, u, v, kind, slack):
-    """Exact emptiness test for candidate pairs. Returns a keep mask.
+def _placeholders(pairs):
+    """Pairs (u, v) as candidates (u, v, u, u): no witness to try first."""
+    return pairs[:, [0, 1, 0, 0]]
+
+
+def _all_pairs(n):
+    """Every pair of n points as candidates."""
+    return _placeholders(np.column_stack(np.triu_indices(n, k=1)))
+
+
+def _scan_all(P, u, v, mid, duv2, kind):
+    """Whether each pair's region holds a point, tested against every point
+    in chunks of about ``_BLOCK`` (pair, point) tests."""
+    n = len(P)
+    R = max(1, _BLOCK // n)
+    wit = np.arange(n)
+    dead = np.zeros(len(u), dtype=bool)
+    for lo in range(0, len(u), R):
+        c = slice(lo, lo + R)
+        # a named mask, not one inlined into the next line, which measured
+        # about 25% slower on 300 points times 1e155
+        inside = _inside(P, wit, u[c, None], v[c, None], mid[c, None], duv2[c, None], kind)
+        dead[c] = inside.any(axis=1)
+    return dead
+
+
+def _full_test(P, Q, tree, cand, kind, slack):
+    """Exact emptiness test for candidates (u, v, a, b), where a and b are
+    witnesses to try first: the vertices opposite the pair in the
+    triangulation, or u as a placeholder. Returns a keep mask.
 
     ``Q`` is P scaled by a power of two and ``tree`` indexes it; the
-    predicates run on P itself. The region lies inside a ball around the
-    rounded midpoint the Gabriel predicate uses, widened by ``slack``:
-    the lune's ball is centred off the exact midpoint, and subnormal
-    squares round coarsely. A pair whose squared length overflows has
-    its witnesses anywhere, so its ball holds every point. The nearest
-    points to the midpoint settle most pairs: a witness among them kills
-    the pair, and when the farthest of them lies outside the ball they
-    are all the ball holds. The rest fetch their whole ball."""
-    m = len(u)
-    k = min(_NEAREST, len(P))
+    predicates run on P itself. A pair with a or b inside its region is
+    dead. Of the rest, the region lies inside a ball around the rounded
+    midpoint the Gabriel predicate uses, widened by ``slack``: the lune's
+    ball is centred off the exact midpoint, and subnormal squares round
+    coarsely. The nearest points to the midpoint settle most pairs: a
+    witness among them kills the pair, and when the farthest of them lies
+    outside the ball they are all the ball holds. The rest fetch their
+    whole ball, except pairs whose squared length overflows, which have
+    their witnesses anywhere and are tested against every point."""
+    m = len(cand)
+    k = min(_NEAREST[kind], len(P))
     out = np.zeros(m, dtype=bool)
-    B = _BLOCK // _NEAREST
+    B = _BLOCK // k
     for lo in range(0, m, B):
-        uu = u[lo:lo + B]
-        vv = v[lo:lo + B]
-        mb = len(uu)
+        c = cand[lo:lo + B]
+        uu = c[:, 0]
+        vv = c[:, 1]
         mid = (P[uu] + P[vv]) / 2.0
         dx = P[vv, 0] - P[uu, 0]
         dy = P[vv, 1] - P[uu, 1]
         duv2 = dx * dx + dy * dy
+        live = ~_inside(P, c[:, 2:], uu[:, None], vv[:, None], mid[:, None], duv2[:, None], kind).any(axis=1)
+        at = lo + np.flatnonzero(live)
+        uu = uu[live]
+        vv = vv[live]
+        mid = mid[live]
+        duv2 = duv2[live]
         qmid = (Q[uu] + Q[vv]) / 2.0
         dq = Q[vv] - Q[uu]
         d = np.sqrt((dq * dq).sum(axis=1))
         r = (0.5 if kind == GABRIEL else math.sqrt(3.0) / 2.0) * d * (1.0 + 1e-9) + slack
-        # |Q| <= 1, so this radius reaches every point
-        r[~np.isfinite(duv2)] = 4.0
         dk, ik = tree.query(qmid, k=k)
-        rp = np.repeat(np.arange(mb), k)
-        dead = _inside(P, ik.reshape(-1), uu[rp], vv[rp], mid[rp], duv2[rp], kind)
-        dead = dead.reshape(mb, k).any(axis=1)
+        dead = _inside(P, ik, uu[:, None], vv[:, None], mid[:, None], duv2[:, None], kind).any(axis=1)
         # with k == n the nearest points are all the points
         far = dk[:, -1] if k < len(P) else np.inf
-        rows = np.flatnonzero(~dead & (far <= r))
+        wide = ~np.isfinite(duv2)
+        rows = np.flatnonzero(~dead & ~wide & (far <= r))
         rp, wit = _ball_pairs(tree, rows, qmid[rows], r[rows])
         inside = _inside(P, wit, uu[rp], vv[rp], mid[rp], duv2[rp], kind)
         dead[rp[inside]] = True
-        out[lo:lo + mb] = ~dead
+        rows = np.flatnonzero(~dead & wide)
+        dead[rows] = _scan_all(P, uu[rows], vv[rows], mid[rows], duv2[rows], kind)
+        out[at] = ~dead
     return out
 
 
@@ -452,7 +512,8 @@ def _conflicts(P, tree, T, tris, dropped, slack):
 
 
 def _hole_pairs(P, tree, T, nb, hole, dropped, slack, floor) -> np.ndarray:
-    """Pairs inside the holes where Qhull's triangulation is not Delaunay.
+    """Candidates inside the holes where Qhull's triangulation is not
+    Delaunay, as ``_candidate_pairs`` gives them.
 
     Holes grow from the seed triangles in ``hole`` across every neighbour
     in conflict with a point, so each ends up a connected set of
@@ -490,17 +551,17 @@ def _hole_pairs(P, tree, T, nb, hole, dropped, slack, floor) -> np.ndarray:
     for members in np.split(key % n, np.flatnonzero(np.diff(labs)) + 1):
         inner = members[core[members]]
         a, b = np.meshgrid(members[~core[members]], members)
-        out.append(np.column_stack([a.ravel(), b.ravel()]))
+        out.append(_placeholders(np.column_stack([a.ravel(), b.ravel()])))
         if len(inner) == n:
             # nothing smaller to recurse on: Qhull resolves none of it
-            out.append(np.column_stack(np.triu_indices(n, k=1)))
+            out.append(_all_pairs(n))
         elif len(inner) >= 2:
             out.append(inner[_candidate_pairs(P[inner], cKDTree(P[inner]), floor)])
     return np.concatenate(out)
 
 
 def _line_pairs(P, slack):
-    """Candidate pairs from the points' order along their principal axis.
+    """Candidates from the points' order along their principal axis.
 
     The sorted points split into runs wherever consecutive points are at
     least ``gap`` apart along the axis. A point of a run strictly between
@@ -520,33 +581,41 @@ def _line_pairs(P, slack):
     cnt = np.searchsorted(run, run + 2) - np.arange(n) - 1
     i = np.repeat(np.arange(n), cnt)
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return np.column_stack([order[i], order[j]])
+    return _placeholders(np.column_stack([order[i], order[j]]))
 
 
 def _candidate_pairs(P, tree, floor) -> np.ndarray:
-    """Pairs (u, v), u != v, that include every Gabriel and every
-    relative-neighborhood edge of P; see the module docstring. ``tree``
-    indexes P, and ``floor`` bounds the coordinate uncertainty below."""
+    """Candidates (u, v, a, b), u != v, whose pairs include every Gabriel
+    and every relative-neighborhood edge of P; a and b are the vertices
+    opposite the pair in the triangulation, or u where there is none. See
+    the module docstring. ``tree`` indexes P, and ``floor`` bounds the
+    coordinate uncertainty below."""
     n = len(P)
     slack = _ulp_slack(P, floor)
+    # points in the tree's leaf order are near in memory where near in space
+    order = tree.indices
     try:
-        tri = Delaunay(P - P.min(axis=0))
+        tri = Delaunay(P[order] - P.min(axis=0))
     except QhullError:
         return _line_pairs(P, slack)
-    T = tri.simplices.astype(np.int64)
-    if (T >= n).any():
+    if (tri.simplices >= n).any():
         # Qhull's point at infinity leaks into the output of nearly flat input
         return _line_pairs(P, slack)
+    T = order[tri.simplices]
     nb = tri.neighbors.astype(np.int64)
+    # Qhull's arrays hold about 130 bytes per point that nothing below uses
+    del tri
     m = len(T)
     # every edge once: where the neighbour across it has a higher index
     t, k = np.nonzero((nb > np.arange(m)[:, None]) | (nb < 0))
-    pairs = np.column_stack([T[t, (k + 1) % 3], T[t, (k + 2) % 3]])
-    shared = nb[t, k] >= 0
+    u = T[t, (k + 1) % 3]
+    cand = np.column_stack([u, T[t, (k + 2) % 3], T[t, k], u])
+    shared = np.flatnonzero(nb[t, k] >= 0)
     t = t[shared]
     k = k[shared]
     s = nb[t, k]
     opp = T[s, np.argmax(nb[s] == t[:, None], axis=1)]
+    cand[shared, 3] = opp
     ins, tol, noisy = _incircle(P, T[t], opp, slack)
     extra = []
     cocircular = np.abs(ins) <= tol
@@ -554,15 +623,15 @@ def _candidate_pairs(P, tree, floor) -> np.ndarray:
     # a pair cocircular only up to rounding is treated as a hole
     bad = (ins > tol) | (cocircular & noisy)
     if near.any():
-        # a cocircular quadrilateral's other diagonal, and the diameters of
-        # larger cocircular sets
+        # a cocircular quadrilateral's other diagonal, opposite the shared
+        # edge's ends, and the diameters of larger cocircular sets
         tn = np.union1d(t[near], s[near])
         centre, r = _circumcircles(P, T[tn])
         anti = (2.0 * centre[:, None, :] - P[T[tn]]).reshape(-1, 2)
         rad = np.repeat(_ANTIPODE_TOL * r + slack, 3)
         ok = np.isfinite(anti).all(axis=1) & np.isfinite(rad)
-        extra.append(np.column_stack([T[t[near], k[near]], opp[near]]))
-        extra.append(np.column_stack(_ball_pairs(tree, T[tn].ravel()[ok], anti[ok], rad[ok])))
+        extra.append(np.column_stack([T[t[near], k[near]], opp[near], cand[shared[near], :2]]))
+        extra.append(_placeholders(np.column_stack(_ball_pairs(tree, T[tn].ravel()[ok], anti[ok], rad[ok]))))
     hole = np.zeros(m, dtype=bool)
     hole[t[bad]] = True
     hole[s[bad]] = True
@@ -577,12 +646,13 @@ def _candidate_pairs(P, tree, floor) -> np.ndarray:
     if hole.any():
         extra.append(_hole_pairs(P, tree, T, nb, hole, dropped, slack, floor))
     if not extra:
-        return pairs
-    pairs = np.concatenate([pairs] + extra)
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    key = np.unique(lo[lo != hi] * n + hi[lo != hi])
-    return np.column_stack([key // n, key % n])
+        return cand
+    cand = np.concatenate([cand] + extra)
+    lo = cand[:, :2].min(axis=1)
+    hi = cand[:, :2].max(axis=1)
+    # each pair once; the first copy, a triangulation edge's if there is one
+    first = np.unique(lo * n + hi, return_index=True)[1]
+    return cand[first[lo[first] != hi[first]]]
 
 
 def _scaled_tree(P):
@@ -607,11 +677,11 @@ def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
         if np.ptp(P, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
             # the raw squared distances overflow and stop following the
             # geometry, so every pair is a candidate
-            cand = np.column_stack(np.triu_indices(n, k=1))
+            cand = _all_pairs(n)
         else:
             cand = _candidate_pairs(Q, tree, floor)
-        keep = _full_test(P, Q, tree, cand[:, 0], cand[:, 1], kind, _ulp_slack(Q, floor))
-    return cand[keep]
+        keep = _full_test(P, Q, tree, cand, kind, _ulp_slack(Q, floor))
+    return cand[keep, :2]
 
 
 def gabriel(points) -> Graph:

@@ -8,12 +8,15 @@ predicate expressions. The families aim at the places where rounding
 could cost a candidate: cocircular points, points Qhull drops as
 coplanar, clusters far below the bounding box's scale, flat input,
 coordinates many ulps from zero, and coordinates whose squares overflow
-or turn subnormal. The Yao builder's exact scan is checked against an
-independent pure-python oracle on the same families, and its staged
-neighbor search against the exact scan on layouts large enough to need
-the search: ties, points on cone edges, deep clusters, rings and
-overflowing distances. The scan of nearby blocks that follows the search
-is checked on layouts where a spy shows rows reaching it.
+or turn subnormal. The property tests also draw from a dense integer
+grid, where the vertices opposite a Delaunay edge, tried first as
+witnesses, often lie exactly on the edge's circle. The Yao builder's
+exact scan is checked against an independent pure-python oracle on the
+same families, and its staged neighbor search against the exact scan on
+layouts large enough to need the search: ties, points on cone edges,
+deep clusters, rings and overflowing distances. The scan of nearby
+blocks that follows the search is checked on layouts where a spy shows
+rows reaching it.
 """
 
 import math
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay, cKDTree
 
 from proxdeg import (
     ConeSpec,
@@ -381,6 +385,9 @@ def adversarial_families():
     uniform50 = np.random.default_rng(2).random((50, 2))
     fams["uniform-50-1e155"] = 1e155 * uniform50
     fams["uniform-50-1e-200"] = 1e-200 * uniform50
+    # every pair is a candidate, and most long pairs keep their lune, so
+    # each is tested against every point
+    fams["uniform-300-1e155"] = 1e155 * np.random.default_rng(3).random((300, 2))
 
     return sorted(fams.items())
 
@@ -390,7 +397,7 @@ def adversarial_families():
 # edge (87, 100), whose disk holds the point one ulp above vertex 100;
 # where squared distances overflow, a long pair keeps its lune edge unless
 # some point lies within about 1.3e154 of both ends
-LUNE_OUTSIDE_DISK = {"tiny-cluster": 5, "ulp-pair": 1, "uniform-50-1e155": 1093}
+LUNE_OUTSIDE_DISK = {"tiny-cluster": 5, "ulp-pair": 1, "uniform-50-1e155": 1093, "uniform-300-1e155": 38369}
 
 
 @pytest.mark.parametrize("name, coords", adversarial_families(), ids=lambda v: v if isinstance(v, str) else "")
@@ -425,12 +432,20 @@ def deep_square():
     return np.vstack([0.5 + 1e-9 * rng.random((2000, 2)), rng.random((100, 2))])
 
 
+def overflowing_300():
+    return dict(adversarial_families())["uniform-300-1e155"]
+
+
 @pytest.mark.parametrize("build", [gabriel, rng_graph], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("layout", [dense_square, ring_1000, deep_square], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "layout", [dense_square, ring_1000, deep_square, overflowing_300], ids=lambda f: f.__name__
+)
 def test_builders_bounded_cost(layout, build):
     # a candidate search sized by the global point density goes quadratic
     # on the first two (4.9-28 s, 1.3-4.1 GB resident); the bounds leave
-    # five-fold headroom over the cost of the triangulation's candidates
+    # five-fold headroom over the cost of the triangulation's candidates.
+    # Fetching the ball of every point for each overflowing pair as a list
+    # took 3.3 s and 1.0 GB traced for rng_graph on the last
     pts = PointSet(layout())
     t0 = time.perf_counter()
     build(pts)
@@ -443,6 +458,26 @@ def test_builders_bounded_cost(layout, build):
         tracemalloc.stop()
     assert elapsed < 1.25
     assert peak < 300e6
+
+
+def test_opposite_vertices_spare_nearest_queries(monkeypatch):
+    # the vertices opposite a Delaunay edge kill every non-Gabriel edge of
+    # uniform input but a few, about a third of the edges, so only the rest
+    # reach the nearest-point query (64-66% of the edges on four seeds at
+    # 600 and 2,000 points). The reference takes 50 s at 2,000 points
+    rows = []
+
+    class Spy(cKDTree):
+        def query(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "cKDTree", Spy)
+    pts = uniform_points(seed=24, n=600)
+    g = gabriel(pts)
+    delaunay_edges = len(Delaunay(pts.coords).vertex_neighbor_vertices[1]) // 2
+    assert 0 < sum(rows) < 0.75 * delaunay_edges
+    assert g == gabriel_naive(pts)
 
 
 def test_fast_builders_match_references_uniform():
@@ -817,16 +852,24 @@ grid_point = st.tuples(
 
 point_lists = st.lists(grid_point, min_size=2, max_size=28, unique=True)
 
+# up to 48 points of an 8 x 8 integer grid: right angles put a triangle's third vertex
+# exactly on the diametral circle of its hypotenuse, and squares and other
+# cocircular quadruples abound, so the strict predicates decide the
+# opposite-vertex test
+dense_grid_lists = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=2, max_size=48, unique=True
+).map(lambda c: [(float(x), float(y)) for x, y in c])
+
 
 @settings(max_examples=60, deadline=None)
-@given(point_lists)
+@given(point_lists | dense_grid_lists)
 def test_property_disk_empty_matches_reference(coords):
     pts = PointSet(coords)
     assert gabriel(pts) == gabriel_naive(pts)
 
 
 @settings(max_examples=60, deadline=None)
-@given(point_lists)
+@given(point_lists | dense_grid_lists)
 def test_property_lune_subset_of_disk(coords):
     pts = PointSet(coords)
     assert rng_graph(pts) == rng_naive(pts)
