@@ -86,6 +86,89 @@ surviving edge's ends are the two nearest, so the third decides, and
 four for the relative neighborhood graph, whose lune's ball holds more
 points.
 
+Certificate. ``gabriel`` keeps a shared edge of the triangulation with
+no test at all, neither opposite vertex nor query, when the
+triangulation proves its disk empty under the raw predicate. Below, e =
+2**-53 is the unit roundoff, and lengths are in the scaled points Q,
+whose geometry is the input's (a coordinate that turns subnormal moves
+by at most 2**-1075, which the band below covers). Underflow adds an
+absolute error of at most 2**-1075 to an operation; the least edge
+length below makes that negligible against every allowance.
+
+The global precondition, checked once per call: Qhull dropped no point;
+the incircle value of every shared edge is below minus its allowance,
+so no triangle is in a hole; for every shared edge uv, with opposite
+vertices w and w', the float cross products (u - w) x (v - w) and (u -
+w') x (v - w') have opposite signs and exceed 1e-12 L**2 in size, where
+L is the longest of uw, vw, uw' and vw'; and every edge's squared length
+is at least 2**-600. Then every shared edge is strictly locally Delaunay
+in exact arithmetic:
+
+- Each difference rounds once and each product and sum once more, so a
+  dot or cross product of the edge is off by at most 4.1e L**2, far
+  below 1e-12 L**2. The signs are exact, so w and w' lie on opposite
+  sides of uv.
+- ``_incircle`` multiplies the determinant by the sign of an
+  orientation computed from differences to w'. Their span s is at most
+  2L, so that orientation is off by at most 49e s**2 <= 196e L**2 from
+  the triangle's, which is at least 1e-12 L**2 - 4.1e L**2 in size: the
+  sign is the triangle's.
+- The determinant is the expression of Shewchuk's fast incircle test,
+  whose rounding is below (10 + 96e)e times the permanent (Shewchuk
+  1997), far below the allowance's relative term, 1e-9 times it. With Q
+  below 1 in size, no term exceeds 8, so underflow adds at most
+  2**-1066; the span is at least the shortest edge over sqrt(2), so
+  the allowance's absolute term, slack * span**3 >= 2**-46 * 2**-902,
+  covers that.
+
+So the value's sign is exact: w' lies strictly outside the circumcircle
+of uvw. By the Delaunay lemma, a triangulation whose every shared edge
+is locally Delaunay has no point inside any circumcircle, under this
+module's assumption that Qhull's triangles tile the hull of the points,
+each a vertex; the precondition checks that locally, at every edge.
+Two facts follow, in exact arithmetic:
+
+1. No point is nearer to a point u than u's shortest edge. Another point
+   q lies in the hull, so the segment uq leaves u within the angle at u
+   of some triangle uab. Along a ray from u in that angle, the
+   circumdisk's chord is 2R sin t, t the angle to the tangent at u, and
+   sin is concave, so the chord is at least min(|ua|, |ub|); q, not
+   inside the disk, is at least that far.
+2. Put uv's midpoint at 0, u and v at (-r, 0) and (r, 0), and w above.
+   If the angle at w is acute, the circumcentre of uvw is (0, h) with h
+   = r cot(w) > 0, and a point x = (a, b) with b >= 0 outside its open
+   disk has a**2 + b**2 >= r**2 + 2bh. If also |x| < r + beta, then 2bh
+   < 2r beta + beta**2, so b < b_max = beta (1 + beta / 2r) tan(w), and
+   |x| >= r, so x lies within rho of u or v, where rho**2 = beta**2 + 2
+   b_max**2: for a <= 0, |x - u|**2 = |x|**2 + r**2 - 2r|a| <= (|x| -
+   r)**2 + 2b**2, as |a| >= |x| - b**2 / |x|. The same holds below uv
+   with w'. With beta = 0, the open diametral disk holds no point: each
+   half lies inside a circumdisk.
+
+The raw predicate, with its rounded midpoint and duv2 / 4, holds for a
+point x only within r + beta of the exact midpoint, beta = slack +
+1e-12 |uv|. The midpoint rounds by at most sqrt(2) e times the largest
+coordinate, below slack / 181. Each side of the comparison rounds by a
+relative 4.01e at most, which widens the radius by a relative 4.01e at
+most, below 1e-12 |uv| / r. Underflow moves the distance by at most
+2**-535 input units, far below the 2**-500 floor of slack. Below a span
+of 2**510, the only input that reaches a triangulation, no difference or
+square overflows, and a midpoint that overflows makes the predicate
+false. So a point other than u and v inside uv's disk, under the raw
+predicate, lies within rho of u or v, with b_max taken for the larger of
+tan(w) and tan(w'). By fact 1 there is none when u's and v's shortest
+edges are longer than rho, and so none when the triangulation's shortest
+edge is: one bound for every edge, with no pass over each point's edges.
+
+A shared edge is certified when both angles are acute by a margin, each
+dot product above 1e-12 L**2; the tangents are bounded above from the
+float dot and cross products with that error; and the shortest edge,
+squared, times 1 - 1e-9, exceeds rho**2 times 1 + 1e-9, margins that
+cover the rounding of these bounds. Hull edges, hole, cocircular,
+antipode and line pairs are never certified, nor is any pair where the
+precondition fails. ``rng_graph`` certifies nothing: the lune does not
+lie inside the two circumdisks.
+
 Yao. ``yao`` takes one path at every size, visiting points in the
 kd-tree's leaf order. The tree, on the points scaled by a power of two,
 gives each point its k nearest points, with k = 4p + 16 and then 4k for
@@ -171,6 +254,13 @@ _ANTIPODE_TOL = 1e-6
 # ulps of the largest coordinate allowed for the rounding of a midpoint
 _ULP_SLACK = 128.0
 
+# the certificate's relative allowance for rounding, far above the few ulps
+# of each product it covers; its margin for the rounding of its own bounds;
+# and the least squared edge length, against underflow (module docstring)
+_CERT_REL = 1e-12
+_CERT_MARGIN = 1e-9
+_CERT_TINY = 2.0 ** -600
+
 # smallest coordinate uncertainty, as a power of two in the input's units:
 # below 2**-511 squared differences turn subnormal and round coarsely
 _FLOOR_EXP = -500
@@ -183,6 +273,9 @@ _EPS = float(np.finfo(np.float64).eps)
 # blocks and chunks of every chunked scan hold about this many
 # (row, point) pairs
 _BLOCK = 2 ** 18
+
+# rows per chunk of the per-edge triangulation tests
+_CHUNK = 2 ** 15
 
 # nearest points to a pair's midpoint fetched before its whole ball. A
 # Gabriel edge's ends are the two nearest, so the third decides; the
@@ -393,12 +486,14 @@ def _scan_all(P, u, v, mid, duv2, kind):
     return dead
 
 
-def _full_test(P, Q, tree, cand, kind, slack):
+def _full_test(P, Q, tree, cand, kind, slack, sure=None):
     """Exact emptiness test for candidates (u, v, a, b), where a and b are
     witnesses to try first: the vertices opposite the pair in the
     triangulation, or u as a placeholder. Returns a keep mask.
 
-    ``Q`` is P scaled by a power of two and ``tree`` indexes it; the
+    Rows marked in ``sure`` (None for none) are certified Gabriel edges
+    (``_certified``): they are kept untested, with no witness tried and no
+    query. ``Q`` is P scaled by a power of two and ``tree`` indexes it; the
     predicates run on P itself. A pair with a or b inside its region is
     dead. Of the rest, the region lies inside a ball around the rounded
     midpoint the Gabriel predicate uses, widened by ``slack``: the lune's
@@ -410,10 +505,16 @@ def _full_test(P, Q, tree, cand, kind, slack):
     their witnesses anywhere and are tested against every point."""
     m = len(cand)
     k = min(_NEAREST[kind], len(P))
-    out = np.zeros(m, dtype=bool)
+    if sure is None:
+        out = np.zeros(m, dtype=bool)
+        todo = np.arange(m)
+    else:
+        out = sure.copy()
+        todo = np.flatnonzero(~sure)
     B = _BLOCK // k
-    for lo in range(0, m, B):
-        c = cand[lo:lo + B]
+    for lo in range(0, len(todo), B):
+        at = todo[lo:lo + B]
+        c = cand[at]
         uu = c[:, 0]
         vv = c[:, 1]
         mid = (P[uu] + P[vv]) / 2.0
@@ -421,7 +522,7 @@ def _full_test(P, Q, tree, cand, kind, slack):
         dy = P[vv, 1] - P[uu, 1]
         duv2 = dx * dx + dy * dy
         live = ~_inside(P, c[:, 2:], uu[:, None], vv[:, None], mid[:, None], duv2[:, None], kind).any(axis=1)
-        at = lo + np.flatnonzero(live)
+        at = at[live]
         uu = uu[live]
         vv = vv[live]
         mid = mid[live]
@@ -458,25 +559,43 @@ def _incircle(P, abc, d, slack):
     circumcircle; values within the allowance of zero count as
     cocircular. The allowance covers the relative tolerance and a
     coordinate uncertainty of ``slack``; ``noisy`` marks where the
-    latter dominates."""
-    D = P[d]
-    ax, ay = (P[abc[:, 0]] - D).T
-    bx, by = (P[abc[:, 1]] - D).T
-    cx, cy = (P[abc[:, 2]] - D).T
-    al = ax * ax + ay * ay
-    bl = bx * bx + by * by
-    cl = cx * cx + cy * cy
-    det = al * (bx * cy - cx * by) + bl * (cx * ay - ax * cy) + cl * (ax * by - bx * ay)
-    perm = (
-        al * (np.abs(bx * cy) + np.abs(cx * by))
-        + bl * (np.abs(cx * ay) + np.abs(ax * cy))
-        + cl * (np.abs(ax * by) + np.abs(bx * ay))
-    )
-    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    span = np.abs(np.column_stack([ax, ay, bx, by, cx, cy])).max(axis=1)
-    rel = _COCIRCULAR_TOL * perm
-    noise = slack * span ** 3
-    return det * np.sign(orient), rel + noise, noise > rel
+    latter dominates. Rows go in chunks of ``_CHUNK``, whose temporaries
+    stay in cache."""
+    m = len(d)
+    x, y = P[:, 0], P[:, 1]
+    value = np.empty(m)
+    allowance = np.empty(m)
+    noisy = np.empty(m, dtype=bool)
+    for lo in range(0, m, _CHUNK):
+        c = slice(lo, lo + _CHUNK)
+        dx = x[d[c]]
+        dy = y[d[c]]
+        ax = x[abc[c, 0]] - dx
+        ay = y[abc[c, 0]] - dy
+        bx = x[abc[c, 1]] - dx
+        by = y[abc[c, 1]] - dy
+        cx = x[abc[c, 2]] - dx
+        cy = y[abc[c, 2]] - dy
+        al = ax * ax + ay * ay
+        bl = bx * bx + by * by
+        cl = cx * cx + cy * cy
+        det = al * (bx * cy - cx * by) + bl * (cx * ay - ax * cy) + cl * (ax * by - bx * ay)
+        perm = (
+            al * (np.abs(bx * cy) + np.abs(cx * by))
+            + bl * (np.abs(cx * ay) + np.abs(ax * cy))
+            + cl * (np.abs(ax * by) + np.abs(bx * ay))
+        )
+        orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        span = np.maximum(
+            np.maximum(np.abs(ax), np.abs(ay)),
+            np.maximum(np.maximum(np.abs(bx), np.abs(by)), np.maximum(np.abs(cx), np.abs(cy))),
+        )
+        rel = _COCIRCULAR_TOL * perm
+        noise = slack * span ** 3
+        value[c] = det * np.sign(orient)
+        allowance[c] = rel + noise
+        noisy[c] = noise > rel
+    return value, allowance, noisy
 
 
 def _circumcircles(P, T):
@@ -556,7 +675,7 @@ def _hole_pairs(P, tree, T, nb, hole, dropped, slack, floor) -> np.ndarray:
             # nothing smaller to recurse on: Qhull resolves none of it
             out.append(_all_pairs(n))
         elif len(inner) >= 2:
-            out.append(inner[_candidate_pairs(P[inner], cKDTree(P[inner]), floor)])
+            out.append(inner[_candidate_pairs(P[inner], cKDTree(P[inner]), floor)[0]])
     return np.concatenate(out)
 
 
@@ -584,24 +703,85 @@ def _line_pairs(P, slack):
     return _placeholders(np.column_stack([order[i], order[j]]))
 
 
-def _candidate_pairs(P, tree, floor) -> np.ndarray:
+def _certified(P, cand, shared, ins, tol, slack):
+    """Which candidates are Gabriel edges of P with no test, by the
+    certificate of the module docstring; all False unless its global
+    precondition holds. ``cand`` holds every edge of a triangulation that
+    kept every point once, as (u, v, w, w'), ``shared`` the rows of its
+    shared edges and ``ins`` and ``tol`` their incircle values and
+    allowances, with ``slack`` the allowance's coordinate uncertainty."""
+    sure = np.zeros(len(cand), dtype=bool)
+    if not (ins < -tol).all():
+        return sure
+    # gathers from the column views beat indexing P by rows
+    x, y = P[:, 0], P[:, 1]
+    dx = x[cand[:, 1]] - x[cand[:, 0]]
+    dy = y[cand[:, 1]] - y[cand[:, 0]]
+    len2 = dx * dx + dy * dy
+    # no point is nearer to another than the shortest edge at either, so
+    # none is nearer than the shortest edge of all
+    near2 = len2.min()
+    if near2 < _CERT_TINY:
+        return sure
+    near2 *= 1.0 - _CERT_MARGIN
+    for lo in range(0, len(shared), _CHUNK):
+        rows = shared[lo:lo + _CHUNK]
+        ux = x[cand[rows, 0]]
+        uy = y[cand[rows, 0]]
+        vx = x[cand[rows, 1]]
+        vy = y[cand[rows, 1]]
+        sides = []
+        for w in (cand[rows, 2], cand[rows, 3]):
+            wx = x[w]
+            wy = y[w]
+            ax = ux - wx
+            ay = uy - wy
+            bx = vx - wx
+            by = vy - wy
+            sides.append((ax * bx + ay * by, ax * by - ay * bx, np.maximum(ax * ax + ay * ay, bx * bx + by * by)))
+        (dot, cross, far), (dot_, cross_, far_) = sides
+        # covers the rounding of every dot and cross product of the edge
+        err = _CERT_REL * np.maximum(far, far_)
+        if not ((np.abs(cross) > err) & (np.abs(cross_) > err) & ((cross < 0.0) != (cross_ < 0.0))).all():
+            return np.zeros(len(cand), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acute = (dot > err) & (dot_ > err)
+            tan = np.maximum((np.abs(cross) + err) / (dot - err), (np.abs(cross_) + err) / (dot_ - err))
+            duv = np.sqrt(len2[rows])
+            band = slack + _CERT_REL * duv
+            high = band * (1.0 + band / duv) * tan
+            reach2 = (band * band + 2.0 * high * high) * (1.0 + _CERT_MARGIN)
+        sure[rows] = acute & (near2 > reach2)
+    return sure
+
+
+def _candidate_pairs(P, tree, floor, certify=False):
     """Candidates (u, v, a, b), u != v, whose pairs include every Gabriel
     and every relative-neighborhood edge of P; a and b are the vertices
     opposite the pair in the triangulation, or u where there is none. See
     the module docstring. ``tree`` indexes P, and ``floor`` bounds the
-    coordinate uncertainty below."""
+    coordinate uncertainty below.
+
+    Returns the candidates and, when ``certify``, a mask of those that are
+    Gabriel edges with no test (``_certified``), or None. Only a
+    triangulation with no hole, so that the candidates are its edges each
+    once, certifies any; the pairs of holes, including those of the
+    recursion on a hole's core, which sees the core's points alone, and the
+    cocircular, antipode and line pairs never are."""
     n = len(P)
     slack = _ulp_slack(P, floor)
-    # points in the tree's leaf order are near in memory where near in space
+    # points in the tree's leaf order are near in memory where near in space;
+    # the edges and their tests below index them in that order
     order = tree.indices
+    Po = P[order]
     try:
-        tri = Delaunay(P[order] - P.min(axis=0))
+        tri = Delaunay(Po - P.min(axis=0))
     except QhullError:
-        return _line_pairs(P, slack)
+        return _line_pairs(P, slack), None
     if (tri.simplices >= n).any():
         # Qhull's point at infinity leaks into the output of nearly flat input
-        return _line_pairs(P, slack)
-    T = order[tri.simplices]
+        return _line_pairs(P, slack), None
+    T = tri.simplices.astype(np.int64)
     nb = tri.neighbors.astype(np.int64)
     # Qhull's arrays hold about 130 bytes per point that nothing below uses
     del tri
@@ -614,9 +794,18 @@ def _candidate_pairs(P, tree, floor) -> np.ndarray:
     t = t[shared]
     k = k[shared]
     s = nb[t, k]
-    opp = T[s, np.argmax(nb[s] == t[:, None], axis=1)]
-    cand[shared, 3] = opp
-    ins, tol, noisy = _incircle(P, T[t], opp, slack)
+    cand[shared, 3] = T[s, np.argmax(nb[s] == t[:, None], axis=1)]
+    ins, tol, noisy = _incircle(Po, T[t], cand[shared, 3], slack)
+    sure = None
+    if certify:
+        kept = np.zeros(n, dtype=bool)
+        kept[T.ravel()] = True
+        if kept.all():
+            sure = _certified(Po, cand, shared, ins, tol, slack)
+    # the rest takes the points' own indices
+    T = order[T]
+    cand = order[cand]
+    opp = cand[shared, 3]
     extra = []
     cocircular = np.abs(ins) <= tol
     near = cocircular & ~noisy
@@ -646,13 +835,13 @@ def _candidate_pairs(P, tree, floor) -> np.ndarray:
     if hole.any():
         extra.append(_hole_pairs(P, tree, T, nb, hole, dropped, slack, floor))
     if not extra:
-        return cand
+        return cand, sure
     cand = np.concatenate([cand] + extra)
     lo = cand[:, :2].min(axis=1)
     hi = cand[:, :2].max(axis=1)
     # each pair once; the first copy, a triangulation edge's if there is one
     first = np.unique(lo * n + hi, return_index=True)[1]
-    return cand[first[lo[first] != hi[first]]]
+    return cand[first[lo[first] != hi[first]]], None
 
 
 def _scaled_tree(P):
@@ -677,10 +866,10 @@ def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
         if np.ptp(P, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
             # the raw squared distances overflow and stop following the
             # geometry, so every pair is a candidate
-            cand = _all_pairs(n)
+            cand, sure = _all_pairs(n), None
         else:
-            cand = _candidate_pairs(Q, tree, floor)
-        keep = _full_test(P, Q, tree, cand, kind, _ulp_slack(Q, floor))
+            cand, sure = _candidate_pairs(Q, tree, floor, kind == GABRIEL)
+        keep = _full_test(P, Q, tree, cand, kind, _ulp_slack(Q, floor), sure)
     return cand[keep, :2]
 
 
@@ -698,46 +887,62 @@ def rng_graph(points) -> Graph:
     return Graph(pts.n, _proximity_edges(pts, RNG))
 
 
+def _naive_pairs(n, inside) -> Graph:
+    """The pairs (i, j), i < j < n, for which ``inside(i, j, w)`` holds for
+    no point w but i and j: the references' double loop over pairs and
+    points. ``inside`` takes index arrays that broadcast, pairs down and
+    points across. Blocks of pairs visit the points in strided blocks (w =
+    k, k + s, k + 2s, ...) and drop each pair at its first witness, which
+    changes no result: every (pair, point) test a pair gets is the same,
+    and a pair is kept only once every point has passed. A block spread
+    over the whole index range holds a witness of most pairs."""
+    iu, ju = np.triu_indices(n, k=1)
+    # blocks of 2**14 pairs and about 64 points
+    step = max(1, n // 64)
+    keep = [np.arange(0)]
+    for lo in range(0, len(iu), 2 ** 14):
+        at = np.arange(lo, min(lo + 2 ** 14, len(iu)))
+        for k in range(step):
+            u = iu[at, None]
+            v = ju[at, None]
+            w = np.arange(k, n, step)
+            hit = inside(u, v, w) & (w != u) & (w != v)
+            at = at[~hit.any(axis=1)]
+        keep.append(at)
+    at = np.concatenate(keep)
+    return Graph(n, np.column_stack([iu[at], ju[at]]))
+
+
 def gabriel_naive(points) -> Graph:
     """Quadratic-scan Gabriel reference; same predicate expressions as
     the fast builder."""
-    pts = as_point_set(points)
-    P = pts.coords
-    n = len(P)
-    edges = []
-    for i in range(n - 1):
-        V = P[i + 1:]
-        mid = (P[i] + V) / 2.0
-        rhs = ((V - P[i]) ** 2).sum(axis=1) / 4.0
-        ddx = P[None, :, 0] - mid[:, None, 0]
-        ddy = P[None, :, 1] - mid[:, None, 1]
-        inside = ddx * ddx + ddy * ddy < rhs[:, None]
-        inside[:, i] = False
-        rows = np.arange(i + 1, n)
-        inside[np.arange(len(V)), rows] = False
-        for j in rows[~inside.any(axis=1)]:
-            edges.append((i, int(j)))
-    return Graph(n, np.asarray(edges, dtype=np.int64) if edges else None)
+    P = as_point_set(points).coords
+
+    def inside(u, v, w):
+        mid = (P[u] + P[v]) / 2.0
+        rhs = ((P[v] - P[u]) ** 2).sum(axis=-1) / 4.0
+        ddx = P[w, 0] - mid[..., 0]
+        ddy = P[w, 1] - mid[..., 1]
+        ddx *= ddx
+        ddy *= ddy
+        ddx += ddy
+        return ddx < rhs
+
+    return _naive_pairs(len(P), inside)
 
 
 def rng_naive(points) -> Graph:
     """Quadratic-scan relative-neighborhood reference."""
-    pts = as_point_set(points)
-    P = pts.coords
-    n = len(P)
+    P = as_point_set(points).coords
     dx = P[None, :, 0] - P[:, None, 0]
     dy = P[None, :, 1] - P[:, None, 1]
     d2 = dx * dx + dy * dy
-    edges = []
-    for i in range(n - 1):
-        rows = np.arange(i + 1, n)
-        d2ij = d2[i, i + 1:, None]
-        inside = (d2[i] < d2ij) & (d2[rows] < d2ij)
-        inside[:, i] = False
-        inside[np.arange(len(rows)), rows] = False
-        for j in rows[~inside.any(axis=1)]:
-            edges.append((i, int(j)))
-    return Graph(n, np.asarray(edges, dtype=np.int64) if edges else None)
+
+    def inside(u, v, w):
+        duv = d2[u, v]
+        return (d2[u, w] < duv) & (d2[v, w] < duv)
+
+    return _naive_pairs(len(P), inside)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ predicate expressions. The families aim at the places where rounding
 could cost a candidate: cocircular points, points Qhull drops as
 coplanar, clusters far below the bounding box's scale, flat input,
 coordinates many ulps from zero, and coordinates whose squares overflow
-or turn subnormal. The property tests also draw from a dense integer
-grid, where the vertices opposite a Delaunay edge, tried first as
-witnesses, often lie exactly on the edge's circle. The Yao builder's
-exact scan is checked against an independent pure-python oracle on the
-same families, and its staged neighbor search against the exact scan on
-layouts large enough to need the search: ties, points on cone edges,
-deep clusters, rings and overflowing distances. The scan of nearby
-blocks that follows the search is checked on layouts where a spy shows
-rows reaching it.
+or turn subnormal; and at the margins of the certificate that keeps
+Gabriel edges with no test: opposite vertices within ulps of an edge's
+diametral circle, points an ulp from an edge's end, and a
+near-cocircular quadruple that must switch it off. The property tests
+also draw from a dense integer grid, where the vertices opposite a
+Delaunay edge, tried first as witnesses, often lie exactly on the edge's
+circle. The Yao builder's exact scan is checked against an independent
+pure-python oracle on the same families, and its staged neighbor search
+against the exact scan on layouts large enough to need the search: ties,
+points on cone edges, deep clusters, rings and overflowing distances.
+The scan of nearby blocks that follows the search is checked on layouts
+where a spy shows rows reaching it.
 """
 
 import math
@@ -389,6 +392,50 @@ def adversarial_families():
     # each is tested against every point
     fams["uniform-300-1e155"] = 1e155 * np.random.default_rng(3).random((300, 2))
 
+    # Gabriel edges certified from the triangulation, with no test: small
+    # triangles among uniform points whose vertex w opposite the edge uv
+    # lies on uv's diametral circle (exactly, with dyadic coordinates) or
+    # within a few ulps of it on either side, where the raw predicate and
+    # exact arithmetic can disagree
+    g = np.random.default_rng(31)
+    s = 2.0 ** -11
+    on_circle = [(5, 0), (0, 5), (-5, 0), (0, -5), (4, -3), (-4, 3), (4, 3), (-3, 4)]
+    right = [g.random((300, 2))]
+    for i in range(40):
+        c = g.integers(200, 1800, 2) * s
+        flip = g.choice([-1.0, 1.0], 2)
+        right.append(np.array([c - (3, 4) * flip * s, c + (3, 4) * flip * s, c + np.array(on_circle[i % 8]) * flip * s]))
+    fams["right-triangles"] = np.vstack(right)
+    near_right = [g.random((300, 2))]
+    for i in range(160):
+        u = g.random(2) * 0.8 + 0.1
+        a = g.uniform(0, 2 * np.pi)
+        v = u + 1e-3 * (1.0 + g.random()) * np.array([np.cos(a), np.sin(a)]) + 1e-9 * g.random(2)
+        m = (u + v) / 2.0
+        phi = a + g.uniform(0.3, 2.8)
+        w = m + np.hypot(*(v - u)) / 2.0 * np.array([np.cos(phi), np.sin(phi)])
+        # i % 7 - 3 ulps out from the circle, in each coordinate
+        k = i % 7 - 3
+        for _ in range(abs(k)):
+            w = np.nextafter(w, w + np.sign(k) * (w - m))
+        near_right.append(np.array([u, v, w]))
+    fams["near-right-triangles"] = np.vstack(near_right)
+
+    # a point one ulp, or 1e-12 of the edge, from an endpoint u of the edge
+    # to u's nearest neighbour v, inside the edge's disk
+    base = np.random.default_rng(32).random((300, 2))
+    nn = cKDTree(base).query(base, k=2)[1][:, 1]
+    ends = [np.nextafter(base[i], base[nn[i]]) for i in range(0, 300, 30)]
+    ends += [base[i] + 1e-12 * (base[nn[i]] - base[i]) for i in range(15, 300, 30)]
+    fams["endpoint-ulp"] = np.vstack([base] + ends)
+
+    # four points within rounding of one circle among 2,000 uniform points:
+    # the certificate switches off, and every pair takes the test
+    ang = np.sort(np.random.default_rng(33).uniform(0, 2 * np.pi, 4))
+    fams["near-cocircular-2000"] = np.vstack(
+        [np.random.default_rng(34).random((2000, 2)), 0.5 + 1e-3 * np.column_stack([np.cos(ang), np.sin(ang)])]
+    )
+
     return sorted(fams.items())
 
 
@@ -397,7 +444,16 @@ def adversarial_families():
 # edge (87, 100), whose disk holds the point one ulp above vertex 100;
 # where squared distances overflow, a long pair keeps its lune edge unless
 # some point lies within about 1.3e154 of both ends
-LUNE_OUTSIDE_DISK = {"tiny-cluster": 5, "ulp-pair": 1, "uniform-50-1e155": 1093, "uniform-300-1e155": 38369}
+LUNE_OUTSIDE_DISK = {
+    "tiny-cluster": 5,
+    "ulp-pair": 1,
+    "uniform-50-1e155": 1093,
+    "uniform-300-1e155": 38369,
+    "right-triangles": 0,
+    "near-right-triangles": 0,
+    "endpoint-ulp": 0,
+    "near-cocircular-2000": 0,
+}
 
 
 @pytest.mark.parametrize("name, coords", adversarial_families(), ids=lambda v: v if isinstance(v, str) else "")
@@ -460,11 +516,9 @@ def test_builders_bounded_cost(layout, build):
     assert peak < 300e6
 
 
-def test_opposite_vertices_spare_nearest_queries(monkeypatch):
-    # the vertices opposite a Delaunay edge kill every non-Gabriel edge of
-    # uniform input but a few, about a third of the edges, so only the rest
-    # reach the nearest-point query (64-66% of the edges on four seeds at
-    # 600 and 2,000 points). The reference takes 50 s at 2,000 points
+@pytest.fixture
+def query_rows(monkeypatch):
+    """Row counts of the kd-tree queries the graph builders make."""
     rows = []
 
     class Spy(cKDTree):
@@ -473,10 +527,33 @@ def test_opposite_vertices_spare_nearest_queries(monkeypatch):
             return super().query(x, *args, **kwargs)
 
     monkeypatch.setattr(graphs, "cKDTree", Spy)
+    return rows
+
+
+def delaunay_edge_count(pts):
+    return len(Delaunay(pts.coords).vertex_neighbor_vertices[1]) // 2
+
+
+def test_opposite_vertices_spare_nearest_queries(query_rows):
+    # the vertices opposite a Delaunay edge kill every non-Gabriel edge of
+    # uniform input but a few, about a third of the edges, and the
+    # triangulation certifies nearly every Gabriel edge, so the query sees
+    # only hull edges and a few more (0-8 rows of about 1,780 edges on ten
+    # seeds at 600 points; 64-66% of the edges before the certificate)
     pts = uniform_points(seed=24, n=600)
     g = gabriel(pts)
-    delaunay_edges = len(Delaunay(pts.coords).vertex_neighbor_vertices[1]) // 2
-    assert 0 < sum(rows) < 0.75 * delaunay_edges
+    assert 0 < sum(query_rows) < 0.75 * delaunay_edge_count(pts)
+    assert g == gabriel_naive(pts)
+
+
+def test_certificate_spares_nearest_queries(query_rows):
+    # every shared Delaunay edge of uniform input passes the incircle test
+    # strictly, so the certificate holds and only the Gabriel edges it
+    # cannot settle, mostly on the hull, reach the query (1-6 rows of about
+    # 5,975 edges on ten seeds)
+    pts = uniform_points(seed=25, n=2000)
+    g = gabriel(pts)
+    assert sum(query_rows) < 0.02 * delaunay_edge_count(pts)
     assert g == gabriel_naive(pts)
 
 
