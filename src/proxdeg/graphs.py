@@ -170,17 +170,25 @@ precondition fails. ``rng_graph`` certifies nothing: the lune does not
 lie inside the two circumdisks.
 
 Yao. ``yao`` takes one path at every size, visiting points in the
-kd-tree's leaf order. The tree, on the points scaled by a power of two,
-gives each point its k nearest points, with k = 4p + 16 and then 4k for
-the points left, each capped at n - 1, where a stage sees every point and
-settles all. Every scan takes one winner rule: the least raw squared
-distance in the cone, then the least index, which covers exact ties and
-cones whose points all lie at infinite distance alike. Below n - 1 a
-cone is settled by:
+kd-tree's leaf order. The tree indexes the points scaled by a power of
+two, Q, and two search stages give each point every point within some
+distance of it in Q, its search radius. The first is a fixed-radius join
+per group of the tree (defined below): the group takes the radius r at
+which a disk holds k = 4p + 16 points at the group's density, its point
+count over the area of its box, and a kd-tree over the group's points
+pairs each with every point whose float distance is at most r. That
+distance is off by a few ulps, so every point within r (1 - 1e-12) is
+paired. The points the join leaves, and those of a group whose box has
+no area, get their 4k nearest points, capped at n - 1, where the stage
+sees every point and settles all. Every scan takes one winner rule: the least raw
+squared distance in the cone, then the least index, which covers exact
+ties and cones whose points all lie at infinite distance alike. Below
+n - 1 a cone is settled by:
 
-- a winner strictly inside the horizon H, the squared distance of the
-  k-th neighbour shrunk by a relative 1e-12 for the rounding of both
-  distances: every point not seen is farther;
+- a winner strictly inside the horizon H, the search radius (r, or the
+  4k-th neighbour's distance) shrunk by a relative 1e-12 for the rounding
+  of both distances, in input units and squared: every point not seen is
+  farther;
 - no point seen, and its part of the bounding box strictly inside H, so
   no point not seen can be in it. The test widens the cone by 1e-9 rad on
   each side, far beyond the error of a float cone index, so a point the
@@ -190,6 +198,16 @@ cone is settled by:
   tested against a cone widened once more so that the rounding of its
   angle cannot drop it. That vertex's squared distance, times 1 + 1e-9,
   must be below H.
+
+A group's radius follows its mean density, so a group that spans a dense
+cluster and the sparse points around it, or a far outlier, would pair
+its points with most points: quadratic time and memory. A guard bounds
+the join. Before it, one ball query counts for each block the points
+within its box's half diagonal plus r of the box's centre, a ball that
+holds every point within r of the block's points; a block whose count
+exceeds 8k sends its points to the second stage, so the join pairs at
+most 8kn points. The guard sets only the cost: a point it sends on is
+settled by the next stage's horizon like any other.
 
 A point with a cone left open after both stages scans only the blocks
 that can hold that cone's winner. Blocks are the tree's largest subtrees
@@ -218,9 +236,9 @@ smaller index wins the tie; the winner's block always passes.
 
 A horizon that overflows, or lies near the subnormal range where
 relative error bounds fail, is set to 0, and a vertex distance that
-overflows is inf; either way nothing is certified, and the point goes to
-the block scan, where an infinite U or an overflowing margin only keeps
-more blocks.
+overflows is inf; either way nothing is certified, and the point goes on
+to the next stage and then the block scan, where an infinite U or an
+overflowing margin only keeps more blocks.
 
 NumPy's arctan2 may differ from ``math.atan2`` in the last bit. Within
 1e-12 p of a cone edge, in units of cones, the index comes from
@@ -441,21 +459,24 @@ def _ball_pairs(tree, rows, centres, radii, p=2.0):
     return np.repeat(rows, cnt), hits
 
 
-def _inside(P, wit, u, v, mid, duv2, kind):
+def _inside(xy, wit, u, v, mid, duv2, kind):
     """Whether each point ``wit`` lies strictly inside the open region of
     the pair (u, v) in the same row, the arguments broadcast together;
-    never for u and v themselves."""
-    wx = P[wit, 0]
-    wy = P[wit, 1]
+    never for u and v themselves. ``xy`` is the points' coordinates and
+    ``mid`` the pairs' rounded midpoints, both x first (``P.T``), as
+    gathers from a coordinate's column beat indexing points by rows."""
+    x, y = xy
+    wx = x[wit]
+    wy = y[wit]
     if kind == GABRIEL:
-        ddx = wx - mid[..., 0]
-        ddy = wy - mid[..., 1]
+        ddx = wx - mid[0]
+        ddy = wy - mid[1]
         inside = ddx * ddx + ddy * ddy < duv2 / 4.0
     else:
-        dux = wx - P[u, 0]
-        duy = wy - P[u, 1]
-        dvx = wx - P[v, 0]
-        dvy = wy - P[v, 1]
+        dux = wx - x[u]
+        duy = wy - y[u]
+        dvx = wx - x[v]
+        dvy = wy - y[v]
         inside = (dux * dux + duy * duy < duv2) & (dvx * dvx + dvy * dvy < duv2)
     return inside & (wit != u) & (wit != v)
 
@@ -470,10 +491,11 @@ def _all_pairs(n):
     return _placeholders(np.column_stack(np.triu_indices(n, k=1)))
 
 
-def _scan_all(P, u, v, mid, duv2, kind):
+def _scan_all(xy, u, v, mid, duv2, kind):
     """Whether each pair's region holds a point, tested against every point
-    in chunks of about ``_BLOCK`` (pair, point) tests."""
-    n = len(P)
+    in chunks of about ``_BLOCK`` (pair, point) tests; the arguments are
+    ``_inside``'s."""
+    n = len(xy[0])
     R = max(1, _BLOCK // n)
     wit = np.arange(n)
     dead = np.zeros(len(u), dtype=bool)
@@ -481,7 +503,7 @@ def _scan_all(P, u, v, mid, duv2, kind):
         c = slice(lo, lo + R)
         # a named mask, not one inlined into the next line, which measured
         # about 25% slower on 300 points times 1e155
-        inside = _inside(P, wit, u[c, None], v[c, None], mid[c, None], duv2[c, None], kind)
+        inside = _inside(xy, wit, u[c, None], v[c, None], mid[:, c, None], duv2[c, None], kind)
         dead[c] = inside.any(axis=1)
     return dead
 
@@ -511,37 +533,42 @@ def _full_test(P, Q, tree, cand, kind, slack, sure=None):
     else:
         out = sure.copy()
         todo = np.flatnonzero(~sure)
+    x, y = xy = P.T
+    qx, qy = Q.T
     B = _BLOCK // k
     for lo in range(0, len(todo), B):
         at = todo[lo:lo + B]
         c = cand[at]
         uu = c[:, 0]
         vv = c[:, 1]
-        mid = (P[uu] + P[vv]) / 2.0
-        dx = P[vv, 0] - P[uu, 0]
-        dy = P[vv, 1] - P[uu, 1]
+        ux, uy, vx, vy = x[uu], y[uu], x[vv], y[vv]
+        mid = np.stack([(ux + vx) / 2.0, (uy + vy) / 2.0])
+        dx = vx - ux
+        dy = vy - uy
         duv2 = dx * dx + dy * dy
-        live = ~_inside(P, c[:, 2:], uu[:, None], vv[:, None], mid[:, None], duv2[:, None], kind).any(axis=1)
+        live = ~_inside(xy, c[:, 2:], uu[:, None], vv[:, None], mid[:, :, None], duv2[:, None], kind).any(axis=1)
         at = at[live]
         uu = uu[live]
         vv = vv[live]
-        mid = mid[live]
+        mid = mid[:, live]
         duv2 = duv2[live]
-        qmid = (Q[uu] + Q[vv]) / 2.0
-        dq = Q[vv] - Q[uu]
-        d = np.sqrt((dq * dq).sum(axis=1))
+        ux, uy, vx, vy = qx[uu], qy[uu], qx[vv], qy[vv]
+        qmid = np.column_stack([(ux + vx) / 2.0, (uy + vy) / 2.0])
+        dx = vx - ux
+        dy = vy - uy
+        d = np.sqrt(dx * dx + dy * dy)
         r = (0.5 if kind == GABRIEL else math.sqrt(3.0) / 2.0) * d * (1.0 + 1e-9) + slack
         dk, ik = tree.query(qmid, k=k)
-        dead = _inside(P, ik, uu[:, None], vv[:, None], mid[:, None], duv2[:, None], kind).any(axis=1)
+        dead = _inside(xy, ik, uu[:, None], vv[:, None], mid[:, :, None], duv2[:, None], kind).any(axis=1)
         # with k == n the nearest points are all the points
         far = dk[:, -1] if k < len(P) else np.inf
         wide = ~np.isfinite(duv2)
         rows = np.flatnonzero(~dead & ~wide & (far <= r))
         rp, wit = _ball_pairs(tree, rows, qmid[rows], r[rows])
-        inside = _inside(P, wit, uu[rp], vv[rp], mid[rp], duv2[rp], kind)
+        inside = _inside(xy, wit, uu[rp], vv[rp], mid[:, rp], duv2[rp], kind)
         dead[rp[inside]] = True
         rows = np.flatnonzero(~dead & wide)
-        dead[rows] = _scan_all(P, uu[rows], vv[rows], mid[rows], duv2[rows], kind)
+        dead[rows] = _scan_all(xy, uu[rows], vv[rows], mid[:, rows], duv2[rows], kind)
         out[at] = ~dead
     return out
 
@@ -958,6 +985,10 @@ _TINY = 2.0 ** -960
 # most points in a block of the exact scan
 _LEAF = 32
 
+# most points a block's ball may hold in the first search stage, in units
+# of the points it is sized for, before the block's rows skip it
+_JOIN_LOAD = 8
+
 
 def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
     """Per row and cone, the winner under the module's rule among the
@@ -1125,14 +1156,15 @@ def _yao_dense(P, spec: ConeSpec) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _yao_blocks(P, spec: ConeSpec, tree, rows, heads, bound) -> np.ndarray:
+def _yao_blocks(P, spec: ConeSpec, tree, cuts, rows, heads, bound) -> np.ndarray:
     """Arcs of ``rows`` from the blocks of ``tree`` that can hold the
-    winners of their open cones. ``heads`` are the search's winners and
-    ``bound`` their raw squared distances (inf where none), -inf in the
-    cones the search settled, which keep their heads."""
+    winners of their open cones. ``cuts`` are the tree's ``_leaf_cuts``,
+    ``heads`` the search's winners and ``bound`` their raw squared
+    distances (inf where none), -inf in the cones the search settled, which
+    keep their heads."""
     n = len(P)
     order = tree.indices
-    first, gfirst = _leaf_cuts(tree)
+    first, gfirst = cuts
     Po = P[order]
     box = np.vstack([np.minimum.reduceat(Po, first).T, np.maximum.reduceat(Po, first).T])
     gfirst = np.searchsorted(first, gfirst)
@@ -1162,49 +1194,111 @@ def _yao_blocks(P, spec: ConeSpec, tree, rows, heads, bound) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
-    """Staged nearest-neighbour search, then a scan of nearby blocks for
-    the rows it leaves.
+def _settle(P, spec: ConeSpec, box, e, rows, slot, cols, seen):
+    """Winners of ``rows`` among the pairs (``rows[slot]``, ``cols``), their
+    squared distances and which cones they settle, when the pairs hold
+    every point within distance ``seen`` of each row in the points scaled by
+    2**-e. The horizon shrinks ``seen`` by a relative 1e-12, which covers
+    the rounding of both distances; ``box`` is the points' bounding box."""
+    heads, hd2 = _cone_nearest(P, rows, slot, cols, spec)
+    h = seen * (1.0 - 1e-12)
+    H = np.ldexp(h, e) ** 2
+    H[~((h * h >= _TINY) & (H >= _TINY) & (H < np.inf))] = 0.0
+    empty = heads < 0
+    need = empty.any(axis=1)
+    reach = hd2.copy()
+    reach[need] = np.where(empty[need], _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9), hd2[need])
+    return heads, hd2, reach < H[:, None]
 
-    Rows go in kd-tree leaf order. A cone is settled by a row's k nearest
-    points when its winner lies strictly inside the search horizon, or when
-    it has none and its part of the bounding box lies strictly inside the
-    horizon (``_cone_reach``). Two stages run, k = 4p + 16 and then 4k,
-    each capped at n - 1, where every row settles; the rows with a cone
-    left open go to ``_yao_blocks``."""
+
+def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k):
+    """First search stage: a fixed-radius join per group of ``cuts``.
+
+    Group g takes the radius r at which a disk holds ``k`` points at the
+    group's density, its point count over the area of its box in Q. Every
+    point within r of a row is paired with it; one kd-tree over the group's
+    rows finds them all. A block whose ball (its box's half diagonal plus
+    r, around its centre) holds more than ``_JOIN_LOAD * k`` points leaves
+    its rows out, as does a group with r zero, so the join pairs at most
+    ``_JOIN_LOAD * k * n`` points. Returns the arcs of the rows it settles
+    and the other rows, in leaf order."""
+    n = len(P)
+    order = tree.indices
+    first, gfirst = cuts
+    Qo = Q[order]
+    lo = np.minimum.reduceat(Qo, first)
+    hi = np.maximum.reduceat(Qo, first)
+    gb = np.searchsorted(first, gfirst)
+    side = np.maximum.reduceat(hi, gb) - np.minimum.reduceat(lo, gb)
+    radius = np.sqrt(k * side[:, 0] * side[:, 1] / (math.pi * np.diff(np.append(gfirst, n))))
+    group = np.repeat(np.arange(len(gfirst)), np.diff(np.append(gb, len(first))))
+    r = radius[group]
+    join = r > 0.0
+    # the pair-count guard: a block's ball holds every point within r of
+    # each of its rows
+    half = 0.5 * np.hypot(hi[join, 0] - lo[join, 0], hi[join, 1] - lo[join, 1])
+    load = tree.query_ball_point(0.5 * (lo[join] + hi[join]), half + r[join], return_length=True)
+    join[join] = load <= _JOIN_LOAD * k
+    group, at = _spread(group[join], first[join], np.append(first[1:], n)[join])
+    # one join per group, each over the group's rows in leaf order; the
+    # pairs go to the cone scan in batches of about _BLOCK
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    stops = np.append(starts[1:], len(at))
+    out = []
+    done = np.zeros(n, dtype=bool)
+    slots, cols, start, size = [], [], 0, 0
+    for a, b in zip(starts, stops):
+        pairs = cKDTree(Qo[at[a:b]]).sparse_distance_matrix(tree, radius[group[a]], output_type="ndarray")
+        # copied out, so that each group's records are freed at once:
+        # keeping a batch of them raised the peak resident size by 6-8%
+        slots.append(pairs["i"] + (a - start))
+        cols.append(pairs["j"].copy())
+        size += len(pairs)
+        if size < _BLOCK and b < len(at):
+            continue
+        pos = at[start:b]
+        rows = order[pos]
+        heads, _, settled = _settle(
+            P, spec, box, e, rows, np.concatenate(slots), np.concatenate(cols), radius[group[start:b]]
+        )
+        ok = settled.all(axis=1)
+        out.append(_as_arcs(rows[ok], heads[ok]))
+        done[pos[ok]] = True
+        slots, cols, start, size = [], [], b, 0
+    return out, order[~done]
+
+
+def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
+    """Staged search, then a scan of nearby blocks for the rows it leaves.
+
+    Rows go in kd-tree leaf order. A cone is settled by the points a search
+    stage sees when its winner lies strictly inside the stage's horizon, or
+    when it has none and its part of the bounding box lies strictly inside
+    the horizon (``_cone_reach``). The first stage is a fixed-radius join
+    sized for k = 4p + 16 points per row (``_yao_join``); the rows it
+    leaves query their 4k nearest points, capped at n - 1, where every row
+    settles; the rows with a cone left open go to ``_yao_blocks``."""
     n = len(P)
     e, Q, tree = _scaled_tree(P)
+    cuts = _leaf_cuts(tree)
     box = P.min(axis=0), P.max(axis=0)
-    out = []
-    pending = tree.indices
     k = 4 * spec.p + 16
-    for _ in range(2):
-        k = min(k, n - 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out, pending = _yao_join(P, Q, e, spec, tree, cuts, box, k)
+        k = min(4 * k, n - 1)
         left = [(pending[:0], np.empty((0, spec.p), dtype=np.int64), np.empty((0, spec.p)))]
         B = max(1, _BLOCK // (k + 1))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for lo in range(0, len(pending), B):
-                rows = pending[lo:lo + B]
-                dk, ik = tree.query(Q[rows], k=k + 1)
-                slot = np.repeat(np.arange(len(rows)), k + 1)
-                heads, hd2 = _cone_nearest(P, rows, slot, ik.ravel(), spec)
-                # every point not seen is at least this far away; the margin
-                # covers the rounding of both distances
-                h = dk[:, -1] * (1.0 - 1e-12)
-                H = np.ldexp(h, e) ** 2
-                H[~((h * h >= _TINY) & (H >= _TINY) & (H < np.inf))] = 0.0
-                empty = heads < 0
-                need = empty.any(axis=1)
-                reach = hd2.copy()
-                reach[need] = np.where(empty[need], _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9), hd2[need])
-                settled = reach < H[:, None]
-                done = settled.all(axis=1) | (k == n - 1)
-                out.append(_as_arcs(rows[done], heads[done]))
-                left.append((rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]))
-        pending, heads, bound = (np.concatenate(a) for a in zip(*left))
-        k *= 4
+        for lo in range(0, len(pending), B):
+            rows = pending[lo:lo + B]
+            dk, ik = tree.query(Q[rows], k=k + 1)
+            slot = np.repeat(np.arange(len(rows)), k + 1)
+            heads, hd2, settled = _settle(P, spec, box, e, rows, slot, ik.ravel(), dk[:, -1])
+            done = settled.all(axis=1) | (k == n - 1)
+            out.append(_as_arcs(rows[done], heads[done]))
+            left.append((rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]))
+    pending, heads, bound = (np.concatenate(a) for a in zip(*left))
     if len(pending):
-        out.append(_yao_blocks(P, spec, tree, pending, heads, bound))
+        out.append(_yao_blocks(P, spec, tree, cuts, pending, heads, bound))
     return np.concatenate(out)
 
 

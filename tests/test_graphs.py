@@ -568,11 +568,27 @@ def test_fast_builders_match_references_uniform():
 # cone-nearest graph
 
 
+def dense_square_1e4():
+    # 5,000 points in a 1e-4 square plus 2,000 uniform points: groups that
+    # span the square and the points around it take a radius for their
+    # mean density, whose balls hold the whole square
+    rng = np.random.default_rng(31)
+    return np.vstack([0.5 + 1e-4 * rng.random((5000, 2)), rng.random((2000, 2))])
+
+
+def uniform_plus_far_point():
+    # 10,000 uniform points plus one at (50, 50): the far point's group has
+    # a box of about 1,250 units of area and a radius to match
+    return np.vstack([np.random.default_rng(32).random((10000, 2)), [(50.0, 50.0)]])
+
+
 def yao_families():
     """Layouts of more than 2048 points, each with a cone spec, on which the
     staged neighbor search must match the exact scan: exact distance ties,
     points on cone edges, clusters far below the bounding box, rows whose
-    cones reach far past their neighbors, and overflowing distances."""
+    cones reach far past their neighbors, overflowing distances, and groups
+    whose join radius would pair most rows with most points, which the
+    join's pair-count guard sends on to the next stage."""
     rng = np.random.default_rng(30)
     xs, ys = np.meshgrid(np.arange(50) / 50.0, np.arange(50) / 50.0)
     t = np.arange(2500) / 2500.0
@@ -593,6 +609,10 @@ def yao_families():
         ("offset-1e8", offset, 3, 5.9),
         ("clusters-16x100-plus-5000", np.vstack(clusters + [rng.random((5000, 2))]), 2, 0.0),
         ("uniform-3000-1e160", 1e160 * np.random.default_rng(0).random((3000, 2)), 3, 0.0),
+        ("square-1e-4-5000-plus-2000-p4", dense_square_1e4(), 4, 0.0),
+        ("square-1e-4-5000-plus-2000-p8", dense_square_1e4(), 8, 0.0),
+        ("uniform-10000-plus-far-point-p4", uniform_plus_far_point(), 4, 0.0),
+        ("uniform-10000-plus-far-point-p8", uniform_plus_far_point(), 8, 0.0),
     ]
 
 
@@ -602,12 +622,28 @@ def spy_block_scan(monkeypatch):
     seen = []
     scan = graphs._yao_blocks
 
-    def spy(P, spec, tree, rows, heads, bound):
+    def spy(P, spec, tree, cuts, rows, heads, bound):
         seen.append(len(rows))
-        return scan(P, spec, tree, rows, heads, bound)
+        return scan(P, spec, tree, cuts, rows, heads, bound)
 
     monkeypatch.setattr(graphs, "_yao_blocks", spy)
     return seen
+
+
+@pytest.fixture
+def join_pairs(monkeypatch):
+    """(rows, pairs) of each fixed-radius join of the Yao search: the
+    points of the tree that joins, and the pairs it reports."""
+    pairs = []
+
+    class Spy(cKDTree):
+        def sparse_distance_matrix(self, *args, **kwargs):
+            out = super().sparse_distance_matrix(*args, **kwargs)
+            pairs.append((self.n, len(out)))
+            return out
+
+    monkeypatch.setattr(graphs, "cKDTree", Spy)
+    return pairs
 
 
 def box_edges(m, inner, seed):
@@ -738,13 +774,13 @@ class TestYao:
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_neighbor_search_matches_dense_on_small_inputs(self, p, monkeypatch):
-        # up to 4p + 17 points the first stage sees every point; beyond, up
-        # to 4p + 70, the rows it leaves reach a second stage capped at
-        # n - 1. Either way the search settles every row, and the block
-        # scan gets none
+        # the rows the join leaves query their 16p + 64 nearest points,
+        # capped at n - 1: up to 16p + 65 points that stage sees every point
+        # and settles every row. Beyond, up to 16p + 70, it sees all but a
+        # few points, and the rows still settle, so the block scan gets none
         scanned = spy_block_scan(monkeypatch)
         spec = ConeSpec(p)
-        for n in range(2, 4 * p + 71):
+        for n in range(2, 16 * p + 71):
             pts = uniform_points(seed=70 + n, n=n)
             assert yao(pts, spec) == DiGraph(n, _yao_dense(pts.coords, spec)), n
         assert sum(scanned) == 0
@@ -762,10 +798,28 @@ class TestYao:
     @pytest.mark.parametrize(
         "name, coords, p, offset", [pytest.param(*f, id=f[0]) for f in yao_families()]
     )
-    def test_neighbor_search_matches_dense_on_adversarial_layouts(self, name, coords, p, offset):
+    def test_neighbor_search_matches_dense_on_adversarial_layouts(self, name, coords, p, offset, join_pairs):
+        # the pair-count guard bounds each join's pairs by _JOIN_LOAD * k
+        # per row, k = 4p + 16, and so all of them by _JOIN_LOAD * k * n.
+        # Without it, one group paired about 3,800 points per row on the
+        # square and 9,900, nearly all, on the far point's layout (145-159
+        # MB traced there; 25 MB with the guard)
         pts = PointSet(coords)
         spec = ConeSpec(p, offset=offset)
         assert yao(pts, spec) == DiGraph(pts.n, _yao_dense(pts.coords, spec))
+        load = graphs._JOIN_LOAD * (4 * p + 16)
+        assert all(m <= load * rows for rows, m in join_pairs)
+
+    def test_join_spares_nearest_queries(self, query_rows):
+        # the join settles the rows of uniform input but a few near the
+        # hull or with a cone just past the join's radius, and only those
+        # query their nearest points: 4.1-6.3% of the rows on ten seeds,
+        # against all of them for a first stage of nearest-point queries
+        pts = uniform_points(seed=33, n=3000)
+        spec = ConeSpec(8)
+        got = yao(pts, spec)
+        assert sum(query_rows) < 0.1 * pts.n
+        assert got == DiGraph(pts.n, _yao_dense(pts.coords, spec))
 
     @pytest.mark.parametrize("p", [4, 8])
     @pytest.mark.parametrize(
