@@ -194,10 +194,10 @@ n - 1 a cone is settled by:
   each side, far beyond the error of a float cone index, so a point the
   index puts in the cone lies in the widened cone. The farthest point of
   the widened cone inside the box is a vertex of their intersection: the
-  exit of an edge ray from the box, or a box corner inside the cone,
-  tested against a cone widened once more so that the rounding of its
-  angle cannot drop it. That vertex's squared distance, times 1 + 1e-9,
-  must be below H.
+  exit of an edge ray from the box, or a box corner inside the cone. A
+  corner counts when the block scan's box test (below), given the corner
+  as a box of its own, finds it meeting the widened cone. That vertex's
+  squared distance, times 1 + 1e-9, must be below H.
 
 A group's radius follows its mean density, so a group that spans a dense
 cluster and the sparse points around it, or a far outlier, would pair
@@ -955,15 +955,17 @@ def gabriel_naive(points) -> Graph:
         ddx += ddy
         return ddx < rhs
 
-    return _naive_pairs(len(P), inside)
+    with np.errstate(over="ignore"):
+        return _naive_pairs(len(P), inside)
 
 
 def rng_naive(points) -> Graph:
     """Quadratic-scan relative-neighborhood reference."""
     P = as_point_set(points).coords
-    dx = P[None, :, 0] - P[:, None, 0]
-    dy = P[None, :, 1] - P[:, None, 1]
-    d2 = dx * dx + dy * dy
+    with np.errstate(over="ignore"):
+        dx = P[None, :, 0] - P[:, None, 0]
+        dy = P[None, :, 1] - P[:, None, 1]
+        d2 = dx * dx + dy * dy
 
     def inside(u, v, w):
         duv = d2[u, v]
@@ -1036,28 +1038,23 @@ def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
 def _cone_reach(P, rows, spec: ConeSpec, box):
     """Squared distance from each row point to the farthest point of each
     cone, widened by ``_WIDEN``, within the points' bounding box ``box``,
-    a pair of corners (lo, hi).
+    rows lo_x, lo_y, hi_x, hi_y.
 
     The farthest point of the clipped cone is a vertex: the exit of an edge
-    ray from the box, or a box corner inside the cone. Corners are tested
-    against a cone widened twice, so the rounding of their angles cannot
-    drop one that matters. Overflow or a degenerate ray yields inf or nan,
-    which certifies nothing."""
-    lo, hi = box
-    u = P[rows]
-    start = spec.offset + spec.theta * np.arange(spec.p) - _WIDEN
-    ang = np.concatenate([start, start + spec.theta + 2.0 * _WIDEN])
-    d = np.column_stack([np.cos(ang), np.sin(ang)])
+    ray from the box, or a box corner that ``_box_cones``, taking the corner
+    as a box of its own, finds meeting the widened cone. Overflow or a
+    degenerate ray yields inf or nan, which certifies nothing."""
+    u = P[rows].T
+    start = spec.offset + spec.theta * np.arange(spec.p)
+    ang = np.concatenate([start - _WIDEN, start + spec.theta + _WIDEN])
+    d = np.stack([np.cos(ang), np.sin(ang)])[:, :, None]
     # exit parameter of every edge ray along each axis; the nearer one wins
-    bound = np.where(d[None] > 0.0, hi, lo) - u[:, None, :]
-    t = (bound / d[None]).min(axis=2)
-    ends = (t * t).reshape(len(rows), 2, spec.p).max(axis=1)
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    v = corners[None] - u[:, None, :]
-    cd2 = (v * v).sum(axis=2)
-    ca = np.arctan2(v[..., 1], v[..., 0])
-    inside = (ca[..., None] - start + _WIDEN) % TWO_PI <= spec.theta + 4.0 * _WIDEN
-    return np.maximum(ends, np.where(inside, cd2[..., None], 0.0).max(axis=1))
+    t = (np.where(d > 0.0, box[2:, None, None], box[:2, None, None]) - u[:, None, :]) / d
+    t = np.minimum(t[0], t[1])
+    ends = (t * t).reshape(2, spec.p, len(rows)).max(axis=0)
+    x, y = box[[0, 2, 2, 0]], box[[1, 1, 3, 3]]
+    meets, _, _, cd2 = _box_cones(u[:, None, :], np.array([x, y, x, y])[:, :, None], _cone_lines(spec))
+    return np.maximum(ends, np.where(meets, cd2, 0.0).max(axis=1)).T
 
 
 def _cone_lines(spec: ConeSpec):
@@ -1094,8 +1091,8 @@ def _box_cones(u, box, lines):
     # past this margin for the rounding of the dot products, the whole box
     # lies strictly on a line's negative side
     tol = 1e-12 * (far[0] + far[1]) + 2.0 ** -1000
-    w = np.concatenate([v, tol[None]]).reshape(5, -1)
-    off = (lines.T @ w < 0.0).reshape((-1,) + tol.shape)
+    w = np.concatenate([v, tol[None]]).reshape(5, tol.size)
+    off = (lines.T @ w < 0.0).reshape(lines.shape[1:] + tol.shape)
     p = len(off) // 5
     inside = off[3 * p:4 * p] & off[4 * p:]
     if p == 2:
@@ -1106,26 +1103,33 @@ def _box_cones(u, box, lines):
     return meets, inside, least, most
 
 
-def _leaf_cuts(tree):
-    """Starts, in the tree's leaf order, of its largest subtrees of at most
-    ``_LEAF`` points (blocks) and of at most max(sqrt(8n), ``_LEAF``)
-    points (groups). A row tests every group and the blocks of the few
-    groups it keeps, so groups of about sqrt(n) points balance the two. A
-    group is never smaller than a block, so every block lies in one; the
-    tree's leaves hold at most 16 points, fewer than a block."""
+def _leaf_cuts(P, tree):
+    """The tree's leaf layout (first, stop, gfirst, gstop, box, gbox): block
+    i, one of its largest subtrees of at most ``_LEAF`` points, holds the
+    leaf-order points [first, stop)[i]; group g, one of its largest of at
+    most max(sqrt(8n), ``_LEAF``) points, the blocks [gfirst, gstop)[g];
+    ``box`` and ``gbox`` are their boxes in P, rows lo_x, lo_y, hi_x, hi_y.
+    A row tests every group and the blocks of the few groups it keeps, so
+    groups of about sqrt(n) points balance the two. A group is never
+    smaller than a block, so every block lies in one; the tree's leaves
+    hold at most 16 points, fewer than a block."""
     group = max(math.sqrt(8.0 * tree.n), _LEAF)
     blocks, groups = [], []
     stack = [(tree.tree, False)]
     while stack:
         node, grouped = stack.pop()
         if not grouped and node.children <= group:
-            groups.append(node.start_idx)
+            groups.append(len(blocks))
             grouped = True
         if node.children <= _LEAF or node.lesser is None:
             blocks.append(node.start_idx)
         else:
             stack += [(node.greater, grouped), (node.lesser, grouped)]
-    return np.array(blocks), np.array(groups)
+    first, gfirst = np.array(blocks), np.array(groups)
+    Po = P[tree.indices]
+    box = np.vstack([np.minimum.reduceat(Po, first).T, np.maximum.reduceat(Po, first).T])
+    gbox = np.vstack([np.minimum.reduceat(box[:2], gfirst, axis=1), np.maximum.reduceat(box[2:], gfirst, axis=1)])
+    return first, np.append(first[1:], tree.n), gfirst, np.append(gfirst[1:], len(first)), box, gbox
 
 
 def _spread(slot, first, stop):
@@ -1158,22 +1162,18 @@ def _yao_dense(P, spec: ConeSpec) -> np.ndarray:
 
 def _yao_blocks(P, spec: ConeSpec, tree, cuts, rows, heads, bound) -> np.ndarray:
     """Arcs of ``rows`` from the blocks of ``tree`` that can hold the
-    winners of their open cones. ``cuts`` are the tree's ``_leaf_cuts``,
+    winners of their open cones. ``cuts`` is the tree's ``_leaf_cuts``,
     ``heads`` the search's winners and ``bound`` their raw squared
     distances (inf where none), -inf in the cones the search settled, which
     keep their heads."""
-    n = len(P)
     order = tree.indices
-    first, gfirst = cuts
-    Po = P[order]
-    box = np.vstack([np.minimum.reduceat(Po, first).T, np.maximum.reduceat(Po, first).T])
-    gfirst = np.searchsorted(first, gfirst)
-    gbox = np.vstack([np.minimum.reduceat(box[:2], gfirst, axis=1), np.maximum.reduceat(box[2:], gfirst, axis=1)])
-    stop = np.append(first[1:], n)
-    gstop = np.append(gfirst[1:], len(first))
+    first, stop, gfirst, gstop, box, gbox = cuts
     lines = _cone_lines(spec)
     out = []
-    B = max(1, _BLOCK // n)
+    # rows per batch: the group test's 5p x 5 x (row, group) multiply-adds
+    # stay within _BLOCK, where BLAS keeps to one thread (five times as many
+    # rows doubled the scan's time on a 2-core host running another process)
+    B = max(1, _BLOCK // (25 * spec.p * len(gfirst)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(rows), B):
             r = rows[lo:lo + B]
@@ -1224,22 +1224,20 @@ def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k):
     and the other rows, in leaf order."""
     n = len(P)
     order = tree.indices
-    first, gfirst = cuts
-    Qo = Q[order]
-    lo = np.minimum.reduceat(Qo, first)
-    hi = np.maximum.reduceat(Qo, first)
-    gb = np.searchsorted(first, gfirst)
-    side = np.maximum.reduceat(hi, gb) - np.minimum.reduceat(lo, gb)
-    radius = np.sqrt(k * side[:, 0] * side[:, 1] / (math.pi * np.diff(np.append(gfirst, n))))
-    group = np.repeat(np.arange(len(gfirst)), np.diff(np.append(gb, len(first))))
+    first, stop, gfirst, gstop, blocks, groups = cuts
+    # ldexp is monotone, so these are the boxes of Q
+    lo, hi = np.ldexp(blocks, -e).reshape(2, 2, -1)
+    side = np.ldexp(groups[2:], -e) - np.ldexp(groups[:2], -e)
+    radius = np.sqrt(k * side[0] * side[1] / (math.pi * (stop[gstop - 1] - first[gfirst])))
+    group = np.repeat(np.arange(len(gfirst)), gstop - gfirst)
     r = radius[group]
     join = r > 0.0
     # the pair-count guard: a block's ball holds every point within r of
     # each of its rows
-    half = 0.5 * np.hypot(hi[join, 0] - lo[join, 0], hi[join, 1] - lo[join, 1])
-    load = tree.query_ball_point(0.5 * (lo[join] + hi[join]), half + r[join], return_length=True)
+    half = 0.5 * np.hypot(hi[0, join] - lo[0, join], hi[1, join] - lo[1, join])
+    load = tree.query_ball_point(0.5 * (lo[:, join] + hi[:, join]).T, half + r[join], return_length=True)
     join[join] = load <= _JOIN_LOAD * k
-    group, at = _spread(group[join], first[join], np.append(first[1:], n)[join])
+    group, at = _spread(group[join], first[join], stop[join])
     # one join per group, each over the group's rows in leaf order; the
     # pairs go to the cone scan in batches of about _BLOCK
     starts = np.flatnonzero(np.diff(group, prepend=-1))
@@ -1248,7 +1246,7 @@ def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k):
     done = np.zeros(n, dtype=bool)
     slots, cols, start, size = [], [], 0, 0
     for a, b in zip(starts, stops):
-        pairs = cKDTree(Qo[at[a:b]]).sparse_distance_matrix(tree, radius[group[a]], output_type="ndarray")
+        pairs = cKDTree(Q[order[at[a:b]]]).sparse_distance_matrix(tree, radius[group[a]], output_type="ndarray")
         # copied out, so that each group's records are freed at once:
         # keeping a batch of them raised the peak resident size by 6-8%
         slots.append(pairs["i"] + (a - start))
@@ -1280,8 +1278,8 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     settles; the rows with a cone left open go to ``_yao_blocks``."""
     n = len(P)
     e, Q, tree = _scaled_tree(P)
-    cuts = _leaf_cuts(tree)
-    box = P.min(axis=0), P.max(axis=0)
+    cuts = _leaf_cuts(P, tree)
+    box = np.concatenate([P.min(axis=0), P.max(axis=0)])
     k = 4 * spec.p + 16
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out, pending = _yao_join(P, Q, e, spec, tree, cuts, box, k)

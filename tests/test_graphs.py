@@ -25,6 +25,7 @@ where a spy shows rows reaching it.
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -461,8 +462,12 @@ def test_fast_builders_match_references(name, coords):
     pts = PointSet(coords)
     fast_disk = gabriel(pts)
     fast_lune = rng_graph(pts)
-    assert fast_disk == gabriel_naive(pts)
-    assert fast_lune == rng_naive(pts)
+    # the references, too, raise no warning where squared distances
+    # overflow (the 1e155 families)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fast_disk == gabriel_naive(pts)
+        assert fast_lune == rng_naive(pts)
     assert len(edge_set(fast_lune) - edge_set(fast_disk)) == LUNE_OUTSIDE_DISK.get(name, 0)
 
 
@@ -681,6 +686,40 @@ def block_scan_families():
     ]
 
 
+# (left, mid, right) point counts of layouts whose median column splits
+# off a block larger than sqrt(8n) points
+TIED_SPLITS = [(30, 40, 30), (31, 50, 35)]
+
+
+def tied_split(left, mid, right):
+    """``left`` and ``right`` uniform points on either side of a column of
+    ``mid`` points at x = 0.5, in the unit square."""
+    rng = np.random.default_rng(0)
+    return np.vstack([
+        np.column_stack([0.5 * rng.random(left), rng.random(left)]),
+        np.column_stack([np.full(mid, 0.5), rng.random(mid)]),
+        np.column_stack([1.0 - 0.5 * rng.random(right), rng.random(right)]),
+    ])
+
+
+def tree_ranges(tree):
+    """(start, stop, is a leaf) of every node of a kd-tree, its points
+    [start, stop) in leaf order."""
+    out, stack = set(), [tree.tree]
+    while stack:
+        node = stack.pop()
+        out.add((node.start_idx, node.end_idx, node.lesser is None))
+        if node.lesser is not None:
+            stack += [node.lesser, node.greater]
+    return out
+
+
+def range_boxes(X, ranges):
+    """The boxes of the points X[a:b] for each (a, b) of ``ranges``, rows
+    lo_x, lo_y, hi_x, hi_y."""
+    return np.array([np.concatenate([X[a:b].min(axis=0), X[a:b].max(axis=0)]) for a, b in ranges]).T
+
+
 def yao_oracle(pts, spec):
     """Per point and per cone, keep the neighbor minimizing (squared
     distance, index); independent of the production scan order."""
@@ -868,24 +907,86 @@ class TestYao:
         assert {(int(a), int(b)) for a, b in yao(pts, spec).edges} == yao_oracle(pts, spec)
         assert sum(scanned) > 0
 
-    @pytest.mark.parametrize("p, left, mid, right", [(2, 30, 40, 30), (3, 31, 50, 35)])
+    @pytest.mark.parametrize("p, left, mid, right", [(2, *TIED_SPLITS[0]), (3, *TIED_SPLITS[1])])
     def test_block_scan_small_tree_with_tied_split(self, p, left, mid, right, monkeypatch):
         # a column of points on the median splits off the ``left`` points
         # as one block of more than sqrt(8n) points; grouping by sqrt(8n)
         # alone left that block outside every group and out of the scan.
         # At 1e-300 no squared distance settles a cone, so every row pends
         scanned = spy_block_scan(monkeypatch)
-        rng = np.random.default_rng(0)
-        pts = PointSet(1e-300 * np.vstack([
-            np.column_stack([0.5 * rng.random(left), rng.random(left)]),
-            np.column_stack([np.full(mid, 0.5), rng.random(mid)]),
-            np.column_stack([1.0 - 0.5 * rng.random(right), rng.random(right)]),
-        ]))
+        pts = PointSet(1e-300 * tied_split(left, mid, right))
         spec = ConeSpec(p)
         got = yao(pts, spec)
         assert got == DiGraph(pts.n, _yao_dense(pts.coords, spec))
         assert {(int(a), int(b)) for a, b in got.edges} == yao_oracle(pts, spec)
         assert sum(scanned) == pts.n
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 3.7e-320, 1e300])
+    def test_leaf_layout(self, scale):
+        # uniform points at every n from 2 to 300 and the tied splits: the
+        # blocks partition the leaf order, each a leaf or a subtree of at
+        # most 32 points; the groups partition the blocks, each a subtree of
+        # at most max(sqrt(8n), 32) points; a block's box is the min and max
+        # of its points, a group's the union of its blocks' boxes, and
+        # scaled by 2**-e both are the boxes of Q, bit for bit
+        layouts = [np.random.default_rng(n).random((n, 2)) for n in range(2, 301)]
+        layouts += [tied_split(*s) for s in TIED_SPLITS]
+        for coords in layouts:
+            P = scale * coords
+            n = len(P)
+            e, Q, tree = graphs._scaled_tree(P)
+            first, stop, gfirst, gstop, box, gbox = graphs._leaf_cuts(P, tree)
+            assert first[0] == 0 and stop[-1] == n and np.array_equal(first[1:], stop[:-1])
+            assert gfirst[0] == 0 and gstop[-1] == len(first) and np.array_equal(gfirst[1:], gstop[:-1])
+            assert (first < stop).all() and (gfirst < gstop).all()
+            nodes = tree_ranges(tree)
+            blocks = list(zip(first, stop))
+            groups = [(first[a], stop[b - 1]) for a, b in zip(gfirst, gstop)]
+            for a, b in blocks:
+                assert (a, b, True) in nodes or ((a, b, False) in nodes and b - a <= 32)
+            for a, b in groups:
+                assert ((a, b, True) in nodes or (a, b, False) in nodes) and b - a <= max(math.sqrt(8.0 * n), 32)
+            union = [np.concatenate([box[:2, a:b].min(axis=1), box[2:, a:b].max(axis=1)]) for a, b in zip(gfirst, gstop)]
+            assert np.array_equal(gbox, np.array(union).T)
+            assert np.array_equal(box, range_boxes(P[tree.indices], blocks))
+            assert np.array_equal(np.ldexp(box, -e), range_boxes(Q[tree.indices], blocks))
+            assert np.array_equal(np.ldexp(gbox, -e), range_boxes(Q[tree.indices], groups))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 7, 8, 13])
+    @pytest.mark.parametrize("offset", [0.0, np.pi / 4.0, 2.5])
+    def test_cone_reach_covers_the_box(self, p, offset):
+        # every point of the bounding box that cone_index puts in cone c,
+        # probed on cone edges, box corners and box edges, lies within the
+        # row's reach[c] in raw squared distance
+        spec = ConeSpec(p, offset=offset)
+        rng = np.random.default_rng(p)
+        for _ in range(12):
+            lo = rng.uniform(-1.0, 1.0, 2)
+            hi = lo + 10.0 ** rng.uniform(-3.0, 1.0, 2)
+            box = np.concatenate([lo, hi])
+            corners = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+            P = np.vstack([lo + (hi - lo) * rng.random((6, 2)), corners[1:3], [(lo[0], 0.5 * (lo[1] + hi[1]))]])
+            reach = graphs._cone_reach(P, np.arange(len(P)), spec, box)
+            assert reach.shape == (len(P), p)
+            for u, bound in zip(P, reach):
+                probes = list(corners)
+                t = rng.random(4)
+                probes += [(lo[0] + t[0] * (hi[0] - lo[0]), lo[1]), (lo[0] + t[1] * (hi[0] - lo[0]), hi[1])]
+                probes += [(lo[0], lo[1] + t[2] * (hi[1] - lo[1])), (hi[0], lo[1] + t[3] * (hi[1] - lo[1]))]
+                for a in offset + spec.theta * np.arange(p):
+                    d = np.array([math.cos(a), math.sin(a)])
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        exit_t = np.where(d > 0.0, hi - u, lo - u) / d
+                    exit_t = exit_t[exit_t >= 0.0].min()
+                    for s in (0.5, 1.0):
+                        probes.append(tuple(np.clip(u + s * exit_t * d, lo, hi)))
+                for w in probes:
+                    if w == tuple(u):
+                        continue
+                    c = cone_index(tuple(u), w, spec) - 1
+                    dx, dy = w[0] - u[0], w[1] - u[1]
+                    assert dx * dx + dy * dy <= bound[c]
+        assert graphs._cone_reach(P, np.arange(0), spec, box).shape == (0, p)
 
     @pytest.mark.parametrize(
         "layout, p",
