@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
 from ._version import VERSION as _VERSION
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
 from .geom import RECT_UNION, UNIT_SQUARE, ConeSpec, PointSet, Region, as_point_set
 from .graphs import (
     _BLOCK,
+    _EPS,
     DiGraph,
     gabriel,
     intersect,
@@ -261,14 +263,46 @@ def degree_histogram(graph) -> tuple:
     return tuple(int(x) for x in np.bincount(undirected_view(graph).degrees()))
 
 
+# sources per landmark cluster in stretch_details
+_CLUSTER = 24
+# the fixed cost of one Dijkstra call, in vertices settled: limited rows
+# share a call while widening its limit settles fewer extra vertices
+_CALL_COST = 300
+
+
 def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
     """Worst ratio of graph distance to Euclidean distance over all
     vertex pairs, with the pair attaining it.
 
-    Distances run over the undirected view with Euclidean edge weights.
-    Raises DisconnectedGraphError, naming an unreachable pair, when the
-    graph has more than one component. Rows run in blocks of about
-    2**18 pairs, so memory is linear in n.
+    Distances run over the undirected view with Euclidean edge weights,
+    from source u to target v. Among equal ratios the pair is the first
+    in row-major order, the smallest u * n + v. Raises
+    DisconnectedGraphError, naming 0 and the first vertex outside 0's
+    component, when the graph has more than one component, and
+    ParameterError when a graph distance, a Euclidean distance or the
+    stretch itself overflows the double range.
+
+    Most rows are skipped or cut short, yet the result equals the ratio
+    matrix's first maximum bit for bit:
+
+    - Dijkstra's float distance D is the minimum, over walks, of the
+      left-to-right float sum. fl(a + w) is monotone in a and at least a,
+      so the run on the symmetric matrix, and a run cut off at a limit,
+      return the same float for every target within the limit.
+    - Sources go in clusters of ``_CLUSTER`` consecutive kd-tree points,
+      each with a central landmark L whose row runs whole. Float error
+      along at most n hops stays within delta = 8(n + 2) eps, so
+      ub = (D[L, x] + D[L, v])(1 + delta), least over the landmarks of the
+      cluster and its neighbours in tree order, is at least D[x, v].
+    - D <= ub implies fl(D / euc) <= fl(ub / euc). With t the worst ratio
+      so far, row x needs exact distances only at the targets where
+      fl(ub / euc) >= t. A row without one is skipped; the others run
+      with a limit just above their largest such ub, several rows to a
+      call. A cluster-wide test, with ub's largest row term and
+      euc(L, v) - max euc(L, x) below euc, first drops targets that no
+      row of the cluster needs.
+
+    Memory is linear in n: a cluster's arrays hold ``_CLUSTER`` rows.
     """
     pts = as_point_set(points)
     g = undirected_view(graph)
@@ -278,29 +312,161 @@ def stretch_details(graph, points) -> tuple[float, tuple[int, int]]:
     if n < 2:
         raise ParameterError("stretch needs at least two points")
     P = pts.coords
-    e = g.edges
-    w = np.hypot(P[e[:, 0], 0] - P[e[:, 1], 0], P[e[:, 0], 1] - P[e[:, 1], 1])
-    m = csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n))
-    B = max(1, _BLOCK // n)
-    # the first maximum of each block, in row-major order
-    tops = []
-    flats = []
-    for lo in range(0, n, B):
-        rows = np.arange(lo, min(lo + B, n))
-        D = dijkstra(m, directed=False, indices=rows)
-        if lo == 0 and np.isinf(D[0]).any():
-            raise DisconnectedGraphError(0, int(np.flatnonzero(np.isinf(D[0]))[0]))
-        euc = np.hypot(P[rows, 0][:, None] - P[:, 0], P[rows, 1][:, None] - P[:, 1])
-        euc[rows - lo, rows] = 1.0
-        ratio = np.divide(D, euc, out=D)
-        j = int(np.argmax(ratio))
-        tops.append(ratio.flat[j])
-        flats.append(lo * n + j)
-    # argmax over the blocks' maxima picks the first block holding the
-    # overall maximum, as argmax over the whole matrix would
-    b = int(np.argmax(tops))
-    u, v = divmod(flats[b], n)
-    return float(tops[b]), (int(u), int(v))
+    a, b = g.edges.T
+    with np.errstate(over="ignore"):
+        w = np.hypot(P[a, 0] - P[b, 0], P[a, 1] - P[b, 1])
+    m = csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))), shape=(n, n)
+    )
+    parts, label = connected_components(m, directed=False)
+    if parts > 1:
+        raise DisconnectedGraphError(0, int(np.argmax(label != label[0])))
+    if _euclid_overflows(P):
+        raise ParameterError("a Euclidean distance between two points overflows")
+    worst = _Worst(n)
+    # sums and ratios may round up to inf: an inf bound only keeps a
+    # target, an inf distance or ratio raises
+    with np.errstate(over="ignore"):
+        _scan_clusters(m, P, worst)
+    if worst.value == np.inf:
+        raise ParameterError("the stretch overflows")
+    u, v = divmod(worst.flat, n)
+    return worst.value, (int(u), int(v))
+
+
+def _euclid_overflows(P) -> bool:
+    """Whether hypot(dx, dy) overflows for some pair. fl(max - min) bounds
+    every |dx| and hypot is monotone, so only a bounding box whose
+    diagonal nears the double range needs the pairwise scan."""
+    with np.errstate(over="ignore"):
+        if np.hypot(*(P.max(axis=0) - P.min(axis=0))) <= 2.0 ** 1023:
+            return False
+        B = max(1, _BLOCK // len(P))
+        return any(
+            np.isinf(np.hypot(P[lo:lo + B, 0, None] - P[:, 0], P[lo:lo + B, 1, None] - P[:, 1])).any()
+            for lo in range(0, len(P), B)
+        )
+
+
+class _Worst:
+    """The worst ratio found so far and its flat index u * n + v."""
+
+    def __init__(self, n):
+        self.n = n
+        self.value = -1.0
+        self.flat = 0
+
+    def take(self, D, rows, cols, euc):
+        """Fold in the ratios D / euc of sources ``rows`` at targets
+        ``cols``; overwrites D."""
+        r = np.divide(D, euc, out=D)
+        j = r.argmax(axis=1)
+        top = r[np.arange(len(rows)), j]
+        hi = top.max()
+        flat = int((rows * self.n + cols[j])[top == hi].min())
+        if hi > self.value or (hi == self.value and flat < self.flat):
+            self.value, self.flat = float(hi), flat
+
+
+def _landmark(m, P, rows, worst):
+    """The cluster's landmark L, the row nearest the centre of the rows'
+    box in the max norm, with its whole Dijkstra row and Euclidean row;
+    folds in L's ratios."""
+    X = P[rows]
+    mid = X.min(axis=0) / 2.0 + X.max(axis=0) / 2.0
+    L = rows[int(np.argmin(np.abs(X - mid).max(axis=1)))]
+    DL = dijkstra(m, directed=True, indices=L)
+    if np.isinf(DL).any():
+        raise ParameterError("a graph distance overflows")
+    eL = np.hypot(P[L, 0] - P[:, 0], P[L, 1] - P[:, 1])
+    eL[L] = 1.0
+    worst.take(DL[None].copy(), np.array([L]), np.arange(len(P)), eL[None])
+    eL[L] = 0.0
+    return L, DL, eL
+
+
+def _upper(Ds, src, dst, c):
+    """ub[i, j] >= D[src[i], dst[j]]: the least path through a landmark
+    with landmark row Dk in Ds, times the float margin c."""
+    ub = np.add.outer(Ds[0][src], Ds[0][dst])
+    for Dk in Ds[1:]:
+        np.minimum(ub, np.add.outer(Dk[src], Dk[dst]), out=ub)
+    ub *= c
+    return ub
+
+
+def _scan_clusters(m, P, worst):
+    """Every row of the ratio matrix that can reach ``worst``; see
+    stretch_details for why the others cannot."""
+    n = len(P)
+    c = 1.0 + 8.0 * (n + 2) * _EPS
+    down, up = 1.0 - 16.0 * _EPS, 1.0 + 16.0 * _EPS
+    order = cKDTree(P).indices
+    clusters = [order[lo:lo + _CLUSTER] for lo in range(0, n, _CLUSTER)]
+    marks = {}
+    for ci, rows in enumerate(clusters):
+        near = [cj for cj in (ci - 1, ci, ci + 1) if 0 <= cj < len(clusters)]
+        for cj in near:
+            if cj not in marks:
+                marks[cj] = _landmark(m, P, clusters[cj], worst)
+        marks.pop(ci - 2, None)
+        L, DL, eL = marks[ci]
+        Ds = [marks[cj][1] for cj in near]
+
+        # targets some row may need: ub's row term at its largest, and
+        # euc(x, v) >= euc(L, v) - max euc(L, x) less rounding; a target
+        # whose lower bound is near the subnormal range is always kept
+        hi = np.min([Dk + Dk[rows].max() for Dk in Ds], axis=0) * c
+        low = (eL * down - eL[rows].max() * up) * down
+        q = np.divide(hi, low, out=np.full(n, np.inf), where=low > 2.0 ** -900)
+        cols = np.flatnonzero(q >= worst.value)
+        if len(cols) == 0:
+            continue
+        X, Xc = P[rows], P[cols]
+        euc = np.hypot(X[:, 0, None] - Xc[:, 0], X[:, 1, None] - Xc[:, 1])
+        at = np.minimum(np.searchsorted(cols, rows), len(cols) - 1)
+        own = cols[at] == rows
+        euc[own, at[own]] = 1.0
+
+        # each row's limit: its largest ub where fl(ub / euc) >= t; a row
+        # needing the landmark's farthest vertex runs whole, unlimited
+        lim = np.zeros(len(rows))
+        far = int(np.argmax(DL))
+        jf = np.searchsorted(cols, far)
+        whole = np.zeros(len(rows), dtype=bool)
+        if jf < len(cols) and cols[jf] == far:
+            whole = (_upper(Ds, rows, [far], c)[:, 0] / euc[:, jf] >= worst.value) & (rows != far)
+        lim[whole] = np.inf
+        rest = np.flatnonzero(~whole & (rows != L))
+        if len(rest):
+            ub = _upper(Ds, rows[rest], cols, c)
+            rb = ub / euc[rest]
+            rb[own[rest], at[rest][own[rest]]] = 0.0
+            np.copyto(ub, 0.0, where=rb < worst.value)
+            lim[rest] = ub.max(axis=1)
+        lim[rows == L] = 0.0
+
+        # rows in order of limit; the next row joins the open call while
+        # the vertices that widening it settles, counted on L's row, cost
+        # less than a call
+        todo = np.flatnonzero(lim > 0.0)
+        todo = todo[np.argsort(lim[todo], kind="stable")]
+        ball = np.searchsorted(np.sort(DL), lim[todo], side="right")
+        start = 0
+        for k in range(1, len(todo) + 1):
+            if k < len(todo) and (k - start) * (ball[k] - ball[k - 1]) <= _CALL_COST:
+                continue
+            grp = todo[start:k]
+            start = k
+            top = lim[grp[-1]]
+            D = dijkstra(m, directed=True, indices=rows[grp], limit=np.nextafter(top, np.inf))
+            if len(cols) < n:
+                D = D[:, cols]
+            if top < np.inf:
+                D[np.isinf(D)] = 0.0
+            elif np.isinf(D).any():
+                raise ParameterError("a graph distance overflows")
+            worst.take(D, rows[grp], cols, euc[grp])
 
 
 def stretch_factor(graph, points) -> float:

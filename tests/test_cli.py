@@ -514,6 +514,18 @@ class TestStretchCommand:
         assert rc == 1
         assert "unreachable" in capsys.readouterr().err
 
+    def test_overflowing_distance_is_runtime_error(self, tmp_path, capsys):
+        # a connected star whose path 0-1-2 overflows: an error, not a
+        # disconnection and not a NaN in the JSON
+        pts = write_points(tmp_path / "p.csv", [(-1e308, 0.0), (0.0, 0.0), (1e308, 0.0), (0.0, 1e308)])
+        edges = tmp_path / "g.txt"
+        edges.write_text("1 0\n1 2\n1 3\n")
+        rc = main(["stretch", "--points", pts, "--graph-file", str(edges)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "overflows" in err
+
     def test_bad_edge_file(self, tmp_path):
         pts = write_points(tmp_path / "p.csv", SQUARE)
         edges = tmp_path / "g.txt"

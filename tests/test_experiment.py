@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import proxdeg
 from proxdeg import (
+    ConeSpec,
     DiGraph,
     DisconnectedGraphError,
     ExperimentConfig,
@@ -31,13 +32,17 @@ from proxdeg import (
     max_degree,
     max_edge_length,
     max_out_degree,
+    rng_graph,
     run_trials,
     sample_uniform,
     stretch_details,
     stretch_factor,
     theoretical_k,
     trial_generator,
+    undirected_view,
+    yao,
 )
+from proxdeg import experiment
 
 from conftest import die_in_worker, uniform_points, unpicklable_result
 
@@ -262,6 +267,73 @@ class TestMaxEdgeLength:
             max_edge_length(Graph(3, [(0, 1)]), PointSet([(0.0, 0.0), (1.0, 1.0)]))
 
 
+def whole_matrix_stretch(g, pts):
+    """The first maximum, in row-major order, of the whole ratio matrix:
+    the reference stretch_details must equal bit for bit."""
+    n = pts.n
+    P = pts.coords
+    e = undirected_view(g).edges
+    w = np.hypot(P[e[:, 0], 0] - P[e[:, 1], 0], P[e[:, 0], 1] - P[e[:, 1], 1])
+    D = dijkstra(csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n)), directed=False)
+    euc = np.hypot(P[:, None, 0] - P[None, :, 0], P[:, None, 1] - P[None, :, 1])
+    np.fill_diagonal(euc, 1.0)
+    ratio = np.divide(D, euc, out=D)
+    u, v = divmod(int(np.argmax(ratio)), n)
+    return ratio[u, v], (u, v)
+
+
+def _uniform_family(build, n, scale=1.0):
+    def make():
+        pts = uniform_points(seed=71, n=n, scale=scale)
+        return build(pts), pts
+    return make
+
+
+def _path_family(P):
+    def make():
+        pts = PointSet(P)
+        return Graph(pts.n, [(i, i + 1) for i in range(pts.n - 1)]), pts
+    return make
+
+
+def _lattice():
+    # Gabriel on a lattice is the grid; many pairs tie on each ratio
+    xs, ys = np.meshgrid(np.arange(45.0), np.arange(45.0))
+    pts = PointSet(np.column_stack([xs.ravel(), ys.ravel()]))
+    return gabriel(pts), pts
+
+
+def _star():
+    pts = uniform_points(seed=72, n=2000)
+    return Graph(2000, [(0, i) for i in range(1, 2000)]), pts
+
+
+def _clusters():
+    rng = np.random.default_rng(73)
+    dense = [c + 1e-3 * rng.random((50, 2)) for c in 0.1 + 0.8 * rng.random((16, 2))]
+    pts = PointSet(np.vstack(dense + [rng.random((1200, 2))]))
+    return gabriel(pts), pts
+
+
+_RING = 2.0 * np.pi * np.arange(2000) / 2000
+
+STRETCH_FAMILIES = {
+    "gabriel-500": _uniform_family(gabriel, 500),
+    "gabriel-2000": _uniform_family(gabriel, 2000),
+    "rng-2000": _uniform_family(rng_graph, 2000),
+    "yao2-2000": _uniform_family(lambda p: yao(p, ConeSpec(2)), 2000),
+    "yao4-2000": _uniform_family(lambda p: yao(p, ConeSpec(4)), 2000),
+    "yao8-2000": _uniform_family(lambda p: yao(p, ConeSpec(8)), 2000),
+    "lattice-45x45": _lattice,
+    "collinear-path": _path_family(np.column_stack([np.arange(2000.0), np.zeros(2000)])),
+    "open-ring-path": _path_family(np.column_stack([np.cos(_RING), np.sin(_RING)])),
+    "star": _star,
+    "clusters": _clusters,
+    "yao4-1e-300": _uniform_family(lambda p: yao(p, ConeSpec(4)), 1000, scale=1e-300),
+    "yao4-1e155": _uniform_family(lambda p: yao(p, ConeSpec(4)), 1000, scale=1e155),
+}
+
+
 class TestStretch:
     def test_single_edge(self):
         pts = PointSet([(0.0, 0.0), (2.0, 1.0)])
@@ -294,20 +366,54 @@ class TestStretch:
             stretch_factor(Graph(3), PointSet([(0.0, 0.0), (1.0, 1.0)]))
 
     def test_blocked_rows_match_whole_matrix(self):
-        # 2**18 // 700 = 374 rows a block, so the rows run in two blocks;
         # the worst pair is the first maximum of the whole ratio matrix
-        n = 700
-        pts = uniform_points(seed=69, n=n)
+        pts = uniform_points(seed=69, n=700)
         g = gabriel(pts)
-        P = pts.coords
-        e = g.edges
-        w = np.hypot(*(P[e[:, 0]] - P[e[:, 1]]).T)
-        D = dijkstra(csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n)), directed=False)
-        euc = np.hypot(P[:, None, 0] - P[None, :, 0], P[:, None, 1] - P[None, :, 1])
-        np.fill_diagonal(euc, 1.0)
-        ratio = D / euc
-        u, v = divmod(int(np.argmax(ratio)), n)
-        assert stretch_details(g, pts) == (ratio[u, v], (u, v))
+        assert stretch_details(g, pts) == whole_matrix_stretch(g, pts)
+
+    @pytest.mark.parametrize("family", sorted(STRETCH_FAMILIES))
+    def test_pruned_rows_match_whole_matrix(self, family):
+        g, pts = STRETCH_FAMILIES[family]()
+        assert stretch_details(g, pts) == whole_matrix_stretch(g, pts)
+
+    def test_uniform_rows_are_skipped_or_limited(self, monkeypatch):
+        # landmark bounds leave most rows of a uniform Gabriel graph
+        # without a target, or with a limit short of the whole graph
+        calls = []
+
+        def spy(m, directed, indices, limit=np.inf):
+            calls.append((np.size(indices), limit))
+            return dijkstra(m, directed=directed, indices=indices, limit=limit)
+
+        monkeypatch.setattr(experiment, "dijkstra", spy)
+        pts = uniform_points(seed=70, n=2000)
+        stretch_details(gabriel(pts), pts)
+        whole = sum(k for k, limit in calls if limit == np.inf)
+        limited = sum(k for k, limit in calls if limit < np.inf)
+        assert limited > 0
+        assert whole < 2000 // 4
+
+    def test_overflowing_path_is_not_a_disconnection(self):
+        # the star at vertex 1 is connected; the path from 0 to 2 and the
+        # distance between them both exceed the double range
+        pts = PointSet([(-1e308, 0.0), (0.0, 0.0), (1e308, 0.0), (0.0, 1e308)])
+        g = Graph(4, [(1, 0), (1, 2), (1, 3)])
+        with pytest.raises(ParameterError, match="overflows"):
+            stretch_details(g, pts)
+
+    def test_overflowing_graph_distance(self):
+        # every Euclidean distance is finite, the path 0-1-2 is not
+        pts = PointSet([(0.0, 0.0), (1.5e308, 0.0), (0.0, 1e-300)])
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ParameterError, match="graph distance overflows"):
+            stretch_details(g, pts)
+
+    def test_overflowing_ratio(self):
+        # 0 and 1 sit 1e-300 apart, joined only through a point 1e300 away
+        pts = PointSet([(0.0, 0.0), (1e-300, 0.0), (1e300, 0.0)])
+        g = Graph(3, [(0, 2), (2, 1)])
+        with pytest.raises(ParameterError, match="stretch overflows"):
+            stretch_details(g, pts)
 
     def test_peak_memory_is_linear_in_n(self):
         # rows run in blocks of about 2**18 pairs, so the peak stays near

@@ -722,20 +722,23 @@ def range_boxes(X, ranges):
 
 def yao_oracle(pts, spec):
     """Per point and per cone, keep the neighbor minimizing (squared
-    distance, index); independent of the production scan order."""
+    distance, index); independent of the production scan order. The
+    squares are raw doubles, as the contract says, so far pairs may
+    overflow to inf on purpose."""
     P = pts.coords
     arcs = set()
-    for u in range(pts.n):
-        best = {}
-        for w in range(pts.n):
-            if w == u:
-                continue
-            c = cone_index(tuple(P[u]), tuple(P[w]), spec)
-            d2 = (P[w, 0] - P[u, 0]) ** 2 + (P[w, 1] - P[u, 1]) ** 2
-            if c not in best or (d2, w) < best[c]:
-                best[c] = (d2, w)
-        for d2, w in best.values():
-            arcs.add((u, w))
+    with np.errstate(over="ignore"):
+        for u in range(pts.n):
+            best = {}
+            for w in range(pts.n):
+                if w == u:
+                    continue
+                c = cone_index(tuple(P[u]), tuple(P[w]), spec)
+                d2 = (P[w, 0] - P[u, 0]) ** 2 + (P[w, 1] - P[u, 1]) ** 2
+                if c not in best or (d2, w) < best[c]:
+                    best[c] = (d2, w)
+            for d2, w in best.values():
+                arcs.add((u, w))
     return arcs
 
 
