@@ -245,7 +245,8 @@ def max_out_degree(graph: DiGraph) -> int:
 
 
 def max_edge_length(graph, points) -> float:
-    """Euclidean length of the longest edge, 0.0 for an edgeless graph."""
+    """Euclidean length of the longest edge, 0.0 for an edgeless graph.
+    Raises ParameterError when an edge's length overflows."""
     pts = as_point_set(points)
     e = graph.edges
     if graph.n != pts.n:
@@ -253,9 +254,11 @@ def max_edge_length(graph, points) -> float:
     if len(e) == 0:
         return 0.0
     P = pts.coords
-    return float(
-        np.hypot(P[e[:, 0], 0] - P[e[:, 1], 0], P[e[:, 0], 1] - P[e[:, 1], 1]).max()
-    )
+    with np.errstate(over="ignore"):
+        longest = float(np.hypot(P[e[:, 0], 0] - P[e[:, 1], 0], P[e[:, 0], 1] - P[e[:, 1], 1]).max())
+    if longest == math.inf:
+        raise ParameterError("an edge length overflows")
+    return longest
 
 
 def degree_histogram(graph) -> tuple:

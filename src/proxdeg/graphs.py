@@ -57,7 +57,11 @@ pair them all. Above it they overflow: a pair whose squared length is
 infinite has every other point with a finite distance as a witness, so
 input spanning 2**510 or more takes every pair as a candidate; its
 output can hold most pairs anyway. Such a pair is tested against every
-point in bounded chunks rather than through a ball holding them all.
+point in bounded chunks rather than through a ball holding them all, as
+is a pair whose ball reaches the diagonal of Q's bounding box: on input
+spanning less than 2**-500, the allowance's floor makes every ball that
+wide. Scanning every point is always correct, so that condition sets
+only the cost.
 
 The argument assumes that Qhull's output is a valid triangulation of
 the points it keeps, with no overlapping triangles outside the holes;
@@ -178,17 +182,19 @@ which a disk holds k = 4p + 16 points at the group's density, its point
 count over the area of its box, and a kd-tree over the group's points
 pairs each with every point whose float distance is at most r. That
 distance is off by a few ulps, so every point within r (1 - 1e-12) is
-paired. The points the join leaves, and those of a group whose box has
-no area, get their 4k nearest points, capped at n - 1, where the stage
-sees every point and settles all. Every scan takes one winner rule: the least raw
-squared distance in the cone, then the least index, which covers exact
-ties and cones whose points all lie at infinite distance alike. Below
-n - 1 a cone is settled by:
+paired. The points the join leaves open, and those it leaves out
+(below), pair with their 4k nearest points, capped at n - 1, and their
+search radius is the next nearest point's distance: inf where there is
+none, as the stage has then seen every point. Every scan takes one winner
+rule: the least raw squared distance in the cone, then the least index,
+which covers exact ties and cones whose points all lie at infinite
+distance alike. Both stages settle a point's cones in one step; a cone
+settled stays settled with its winner, a point whose every cone is
+settled is done, and the others go on. A cone is settled by:
 
-- a winner strictly inside the horizon H, the search radius (r, or the
-  4k-th neighbour's distance) shrunk by a relative 1e-12 for the rounding
-  of both distances, in input units and squared: every point not seen is
-  farther;
+- a winner strictly inside the horizon H, the search radius shrunk by a
+  relative 1e-12 for the rounding of both distances, in input units and
+  squared: every point not seen is farther;
 - no point seen, and its part of the bounding box strictly inside H, so
   no point not seen can be in it. The test widens the cone by 1e-9 rad on
   each side, far beyond the error of a float cone index, so a point the
@@ -205,14 +211,19 @@ its points with most points: quadratic time and memory. A guard bounds
 the join. Before it, one ball query counts for each block the points
 within its box's half diagonal plus r of the box's centre, a ball that
 holds every point within r of the block's points; a block whose count
-exceeds 8k sends its points to the second stage, so the join pairs at
-most 8kn points. The guard sets only the cost: a point it sends on is
-settled by the next stage's horizon like any other.
+exceeds 8k leaves its points out, so the join pairs at most 8kn points.
+A point left out, by the guard or by a group whose box has no area,
+takes the join's step with no pairs and a horizon of 0, which settles
+nothing. The guard sets only the cost: a point it sends on is settled by
+the next stage's horizon like any other.
 
 A point with a cone left open after both stages scans only the blocks
 that can hold that cone's winner. Blocks are the tree's largest subtrees
 of at most 32 points, and groups its largest of at most max(sqrt(8n),
-32), so that every block lies in a group. For a point u and a box
+32), or a leaf not yet in a group, so that every block lies in a group.
+A leaf holds more than 16 points only where they are equal in Q, which
+the tree cannot split: points far below the largest coordinate can flush
+to one subnormal value, or to 0, when scaled. For a point u and a box
 [lo, hi], float subtraction, squaring and addition are monotone, so
 every point w of the box has each rounded difference w - u between
 those of lo and hi, and its raw squared distance between the box's
@@ -234,11 +245,31 @@ taken among the points of the kept blocks, and a settled cone keeps the
 search's. The bound is <=, not <, because a point at distance U with a
 smaller index wins the tie; the winner's block always passes.
 
+A box whose two rounded differences from u in y are both 0 lies on the
+axis line through u, and takes another test. Subtraction is monotone, so
+every point w of the box has its rounded dy between them, +0 or -0; and
+x - y rounds to 0 only if x = y, so a point other than u has a nonzero
+rounded dx, positive only if hi_x > u_x and negative only if lo_x < u_x.
+Its direction, arctan2(+-0, dx), is exactly 0 or pi, so the box meets
+only the cones ``_cones`` gives the directions (1, +-0) and (-1, +-0)
+that it reaches, for both signs of zero. The same holds in x, with the
+directions (+-0, 1) and (+-0, -1), exactly pi/2 and -pi/2. The bounding
+box's reach inherits the rule through its corner test: a corner K on an
+axis line through u counts only for the cones of that direction. No bound
+is lost. If K lies in a widened cone that does not hold its direction,
+u lies on the box's side along the axis, and the box's side that leaves
+the axis at K runs inside the widened cone from K to its far corner or
+to an edge ray's exit, a vertex that counts; distance from u grows along
+that side away from K. A box with no extent across the axis holds only
+points on the axis, in the axis cones.
+
 A horizon that overflows, or lies near the subnormal range where
 relative error bounds fail, is set to 0, and a vertex distance that
 overflows is inf; either way nothing is certified, and the point goes on
 to the next stage and then the block scan, where an infinite U or an
-overflowing margin only keeps more blocks.
+overflowing margin only keeps more blocks. The infinite horizon of a
+stage that has seen every point stays, and settles every cone whose
+winner or reach is finite.
 
 NumPy's arctan2 may differ from ``math.atan2`` in the last bit. Within
 1e-12 p of a cone edge, in units of cones, the index comes from
@@ -524,7 +555,9 @@ def _full_test(P, Q, tree, cand, kind, slack, sure=None):
     witness among them kills the pair, and when the farthest of them lies
     outside the ball they are all the ball holds. The rest fetch their
     whole ball, except pairs whose squared length overflows, which have
-    their witnesses anywhere and are tested against every point."""
+    their witnesses anywhere, and pairs whose ball reaches the diagonal of
+    Q's bounding box, and so every point: both are tested against every
+    point."""
     m = len(cand)
     k = min(_NEAREST[kind], len(P))
     if sure is None:
@@ -535,6 +568,7 @@ def _full_test(P, Q, tree, cand, kind, slack, sure=None):
         todo = np.flatnonzero(~sure)
     x, y = xy = P.T
     qx, qy = Q.T
+    diag = np.hypot(*np.ptp(Q, axis=0))
     B = _BLOCK // k
     for lo in range(0, len(todo), B):
         at = todo[lo:lo + B]
@@ -562,7 +596,7 @@ def _full_test(P, Q, tree, cand, kind, slack, sure=None):
         dead = _inside(xy, ik, uu[:, None], vv[:, None], mid[:, :, None], duv2[:, None], kind).any(axis=1)
         # with k == n the nearest points are all the points
         far = dk[:, -1] if k < len(P) else np.inf
-        wide = ~np.isfinite(duv2)
+        wide = ~np.isfinite(duv2) | (r >= diag)
         rows = np.flatnonzero(~dead & ~wide & (far <= r))
         rp, wit = _ball_pairs(tree, rows, qmid[rows], r[rows])
         inside = _inside(xy, wit, uu[rp], vv[rp], mid[:, rp], duv2[rp], kind)
@@ -992,16 +1026,9 @@ _LEAF = 32
 _JOIN_LOAD = 8
 
 
-def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
-    """Per row and cone, the winner under the module's rule among the
-    candidate pairs (``rows[slot]``, ``cols``) and its squared distance; the
-    head is -1 where the cone holds none. The pairs may come in any order
-    and repeat; a row paired with itself lies in no cone."""
-    # gathers from the column views beat indexing P by (cols, 0)
-    x, y = P[:, 0], P[:, 1]
-    dx = x[cols] - x[rows][slot]
-    dy = y[cols] - y[rows][slot]
-    d2 = dx * dx + dy * dy
+def _cones(dx, dy, spec: ConeSpec):
+    """The cone of each direction (dx, dy), numbered from 0: ``cone_index``
+    less one, bit for bit."""
     r = np.arctan2(dy, dx)
     r -= spec.offset
     # r % TWO_PI for r in [-3*pi, pi], bit for bit: adding one or two
@@ -1020,6 +1047,20 @@ def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
     y = dy[near]
     for i in near[(x != 0.0) & (y != 0.0) & (np.abs(x) != np.abs(y))]:
         cone[i] = cone_index((0.0, 0.0), (dx[i], dy[i]), spec) - 1
+    return cone
+
+
+def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
+    """Per row and cone, the winner under the module's rule among the
+    candidate pairs (``rows[slot]``, ``cols``) and its squared distance; the
+    head is -1 where the cone holds none. The pairs may come in any order
+    and repeat; a row paired with itself lies in no cone."""
+    # gathers from the column views beat indexing P by (cols, 0)
+    x, y = P[:, 0], P[:, 1]
+    dx = x[cols] - x[rows][slot]
+    dy = y[cols] - y[rows][slot]
+    d2 = dx * dx + dy * dy
+    cone = _cones(dx, dy, spec)
     # one grouped minimum of the distance per (row, cone), then one of the
     # index over the points at that minimum
     m = len(rows)
@@ -1042,8 +1083,10 @@ def _cone_reach(P, rows, spec: ConeSpec, box):
 
     The farthest point of the clipped cone is a vertex: the exit of an edge
     ray from the box, or a box corner that ``_box_cones``, taking the corner
-    as a box of its own, finds meeting the widened cone. Overflow or a
-    degenerate ray yields inf or nan, which certifies nothing."""
+    as a box of its own, finds meeting the widened cone. A corner on an axis
+    line through the row point meets only the cones of that axis direction
+    (module docstring). Overflow or a degenerate ray yields inf or nan,
+    which certifies nothing."""
     u = P[rows].T
     start = spec.offset + spec.theta * np.arange(spec.p)
     ang = np.concatenate([start - _WIDEN, start + spec.theta + _WIDEN])
@@ -1058,23 +1101,32 @@ def _cone_reach(P, rows, spec: ConeSpec, box):
 
 
 def _cone_lines(spec: ConeSpec):
-    """Weights (5, 5p) that give, from a box's corner offsets (lo_x, lo_y,
-    hi_x, hi_y) minus the row point and a margin, the greatest dot product
-    over its corners, plus the margin, with the normal of each of 5p lines
-    through the row point. Per cone, the lines are the edges of the widened
+    """(weights, axes) for ``_box_cones``. The weights (5, 5p) give, from a
+    box's corner offsets (lo_x, lo_y, hi_x, hi_y) minus the row point and a
+    margin, the greatest dot product over its corners, plus the margin,
+    with the normal of each of 5p lines through the row point. Per cone, the lines are the edges of the widened
     cone and the bisector's normal line, each with the cone on its
     nonnegative side, then the edges of the narrowed cone, each with the
     narrowed cone on its negative side. The greatest dot product takes, per
-    axis, the end the normal points to."""
+    axis, the end the normal points to. ``axes`` (p, 4) marks the cones of
+    the directions +x, -x, +y and -y, as ``_cones`` gives them for either
+    sign of the zero difference."""
     start = spec.offset + spec.theta * np.arange(spec.p)
     lo, hi = start - _WIDEN, start + spec.theta + _WIDEN
     nlo, nhi = start + _WIDEN, start + spec.theta - _WIDEN
     mid = start + 0.5 * spec.theta
     nx = np.concatenate([-np.sin(lo), np.sin(hi), np.cos(mid), np.sin(nlo), -np.sin(nhi)])
     ny = np.concatenate([np.cos(lo), -np.cos(hi), np.sin(mid), -np.cos(nlo), np.cos(nhi)])
-    return np.stack([
+    weights = np.stack([
         np.minimum(nx, 0.0), np.minimum(ny, 0.0), np.maximum(nx, 0.0), np.maximum(ny, 0.0), np.ones_like(nx),
     ])
+    # the directions +x, -x, +y and -y, each with a difference of +0 and -0
+    zero = [0.0, -0.0]
+    dx = np.array([1.0, 1.0, -1.0, -1.0] + zero + zero)
+    dy = np.array(zero + zero + [1.0, 1.0, -1.0, -1.0])
+    axes = np.zeros((spec.p, 4), dtype=bool)
+    axes[_cones(dx, dy, spec), np.repeat(np.arange(4), 2)] = True
+    return weights, axes
 
 
 def _box_cones(u, box, lines):
@@ -1082,7 +1134,10 @@ def _box_cones(u, box, lines):
     lo_x, lo_y, hi_x, hi_y first, broadcast together: per cone first,
     whether the box meets the widened cone and whether it lies wholly
     inside the narrowed one; and the least and greatest raw squared
-    distance from u to a point of the box."""
+    distance from u to a point of the box. ``lines`` is ``_cone_lines``'s.
+    A box on an axis line through u meets only the cones of the axis
+    directions it reaches (module docstring)."""
+    weights, axes = lines
     v = box - np.concatenate([u, u])
     near = np.maximum(np.maximum(v[:2], -v[2:]), 0.0)
     far = np.maximum(-v[:2], v[2:])
@@ -1092,7 +1147,7 @@ def _box_cones(u, box, lines):
     # lies strictly on a line's negative side
     tol = 1e-12 * (far[0] + far[1]) + 2.0 ** -1000
     w = np.concatenate([v, tol[None]]).reshape(5, tol.size)
-    off = (lines.T @ w < 0.0).reshape(lines.shape[1:] + tol.shape)
+    off = (weights.T @ w < 0.0).reshape(weights.shape[1:] + tol.shape)
     p = len(off) // 5
     inside = off[3 * p:4 * p] & off[4 * p:]
     if p == 2:
@@ -1100,6 +1155,16 @@ def _box_cones(u, box, lines):
         meets = ~inside[::-1]
     else:
         meets = ~(off[:p] | off[p:2 * p] | off[2 * p:3 * p])
+    # both rounded differences in y 0: every point of the box has dy = +0 or
+    # -0, at direction +x or -x as its dx has the sign of hi_x - u_x or of
+    # lo_x - u_x; likewise in x
+    flat_y = (v[1] == 0.0) & (v[3] == 0.0)
+    flat_x = (v[0] == 0.0) & (v[2] == 0.0)
+    flat = flat_x | flat_y
+    if flat.any():
+        ways = np.stack([v[2] > 0.0, v[0] < 0.0, v[3] > 0.0, v[1] < 0.0])
+        ways &= np.stack([flat_y, flat_y, flat_x, flat_x])
+        meets[:, flat] = axes @ ways[:, flat]
     return meets, inside, least, most
 
 
@@ -1111,14 +1176,15 @@ def _leaf_cuts(P, tree):
     ``box`` and ``gbox`` are their boxes in P, rows lo_x, lo_y, hi_x, hi_y.
     A row tests every group and the blocks of the few groups it keeps, so
     groups of about sqrt(n) points balance the two. A group is never
-    smaller than a block, so every block lies in one; the tree's leaves
-    hold at most 16 points, fewer than a block."""
+    smaller than a block, and a leaf not yet in a group starts one, so
+    every block lies in one: a leaf holds at most 16 points, or more that
+    are equal, which the tree cannot split."""
     group = max(math.sqrt(8.0 * tree.n), _LEAF)
     blocks, groups = [], []
     stack = [(tree.tree, False)]
     while stack:
         node, grouped = stack.pop()
-        if not grouped and node.children <= group:
+        if not grouped and (node.children <= group or node.lesser is None):
             groups.append(len(blocks))
             grouped = True
         if node.children <= _LEAF or node.lesser is None:
@@ -1172,8 +1238,10 @@ def _yao_blocks(P, spec: ConeSpec, tree, cuts, rows, heads, bound) -> np.ndarray
     out = []
     # rows per batch: the group test's 5p x 5 x (row, group) multiply-adds
     # stay within _BLOCK, where BLAS keeps to one thread (five times as many
-    # rows doubled the scan's time on a 2-core host running another process)
-    B = max(1, _BLOCK // (25 * spec.p * len(gfirst)))
+    # rows doubled the scan's time on a 2-core host running another process),
+    # as do the pairs of a row with its largest block, which exceeds _LEAF
+    # points only where the tree holds a leaf of equal points
+    B = max(1, _BLOCK // max(25 * spec.p * len(gfirst), (stop - first).max()))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(rows), B):
             r = rows[lo:lo + B]
@@ -1194,24 +1262,39 @@ def _yao_blocks(P, spec: ConeSpec, tree, cuts, rows, heads, bound) -> np.ndarray
     return np.concatenate(out)
 
 
-def _settle(P, spec: ConeSpec, box, e, rows, slot, cols, seen):
-    """Winners of ``rows`` among the pairs (``rows[slot]``, ``cols``), their
-    squared distances and which cones they settle, when the pairs hold
-    every point within distance ``seen`` of each row in the points scaled by
-    2**-e. The horizon shrinks ``seen`` by a relative 1e-12, which covers
-    the rounding of both distances; ``box`` is the points' bounding box."""
-    heads, hd2 = _cone_nearest(P, rows, slot, cols, spec)
+def _settle(P, spec: ConeSpec, box, e, pend, slot, cols, seen, out):
+    """One search stage's step for the rows of the pending record ``pend``,
+    (rows, heads, bound) as ``_yao_blocks`` reads it: their winners among the
+    pairs (``rows[slot]``, ``cols``), which hold every point within distance
+    ``seen`` of each row in the points scaled by 2**-e, inf where they hold
+    every point. The horizon shrinks ``seen`` by a relative 1e-12, which
+    covers the rounding of both distances; ``box`` is the points' bounding
+    box. A cone an earlier stage settled (bound -inf) keeps its head; the
+    first stage passes heads -1 and bound inf, as scalars. Appends the arcs
+    of the rows whose every cone is settled to ``out`` and returns the
+    record of the others, with bound -inf where a cone is settled and the
+    winner's squared distance elsewhere."""
+    rows, heads, bound = pend
+    found, hd2 = _cone_nearest(P, rows, slot, cols, spec)
     h = seen * (1.0 - 1e-12)
     H = np.ldexp(h, e) ** 2
-    H[~((h * h >= _TINY) & (H >= _TINY) & (H < np.inf))] = 0.0
-    empty = heads < 0
-    need = empty.any(axis=1)
+    # a horizon that overflows or nears the subnormal range settles nothing;
+    # an infinite one, where the pairs hold every point, stays
+    H[~((h * h >= _TINY) & (H >= _TINY) & ((H < np.inf) | (h == np.inf)))] = 0.0
+    before = bound < 0.0
+    heads = np.where(before, heads, found)
+    empty = found < 0
+    # a horizon of 0 settles nothing
+    need = (empty & ~before).any(axis=1) & (H > 0.0)
     reach = hd2.copy()
     reach[need] = np.where(empty[need], _cone_reach(P, rows[need], spec, box) * (1.0 + 1e-9), hd2[need])
-    return heads, hd2, reach < H[:, None]
+    settled = before | (reach < H[:, None])
+    done = settled.all(axis=1)
+    out.append(_as_arcs(rows[done], heads[done]))
+    return rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]
 
 
-def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k):
+def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k, out):
     """First search stage: a fixed-radius join per group of ``cuts``.
 
     Group g takes the radius r at which a disk holds ``k`` points at the
@@ -1220,83 +1303,74 @@ def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k):
     rows finds them all. A block whose ball (its box's half diagonal plus
     r, around its centre) holds more than ``_JOIN_LOAD * k`` points leaves
     its rows out, as does a group with r zero, so the join pairs at most
-    ``_JOIN_LOAD * k * n`` points. Returns the arcs of the rows it settles
-    and the other rows, in leaf order."""
-    n = len(P)
+    ``_JOIN_LOAD * k * n`` points. Every row goes through ``_settle``, in
+    leaf order, a row left out with no pairs and a horizon of 0; a batch
+    takes groups until their pairs, or their rows where a group has fewer
+    pairs than rows, reach about ``_BLOCK``. Yields the pending record of
+    each batch."""
     order = tree.indices
     first, stop, gfirst, gstop, blocks, groups = cuts
     # ldexp is monotone, so these are the boxes of Q
     lo, hi = np.ldexp(blocks, -e).reshape(2, 2, -1)
     side = np.ldexp(groups[2:], -e) - np.ldexp(groups[:2], -e)
-    radius = np.sqrt(k * side[0] * side[1] / (math.pi * (stop[gstop - 1] - first[gfirst])))
-    group = np.repeat(np.arange(len(gfirst)), gstop - gfirst)
-    r = radius[group]
+    start, end = first[gfirst], stop[gstop - 1]
+    radius = np.sqrt(k * side[0] * side[1] / (math.pi * (end - start)))
+    r = np.repeat(radius, gstop - gfirst)
     join = r > 0.0
     # the pair-count guard: a block's ball holds every point within r of
     # each of its rows
     half = 0.5 * np.hypot(hi[0, join] - lo[0, join], hi[1, join] - lo[1, join])
     load = tree.query_ball_point(0.5 * (lo[:, join] + hi[:, join]).T, half + r[join], return_length=True)
     join[join] = load <= _JOIN_LOAD * k
-    group, at = _spread(group[join], first[join], stop[join])
-    # one join per group, each over the group's rows in leaf order; the
-    # pairs go to the cone scan in batches of about _BLOCK
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    stops = np.append(starts[1:], len(at))
-    out = []
-    done = np.zeros(n, dtype=bool)
-    slots, cols, start, size = [], [], 0, 0
-    for a, b in zip(starts, stops):
-        pairs = cKDTree(Q[order[at[a:b]]]).sparse_distance_matrix(tree, radius[group[a]], output_type="ndarray")
+    # each row's search radius, in leaf order; 0 where it is left out
+    seen = np.repeat(np.where(join, r, 0.0), stop - first)
+    slots, cols, at, size = [], [], 0, 0
+    for a, b, rad in zip(start, end, radius):
+        rows = a + np.flatnonzero(seen[a:b])
+        pairs = cKDTree(Q[order[rows]]).sparse_distance_matrix(tree, rad, output_type="ndarray")
         # copied out, so that each group's records are freed at once:
         # keeping a batch of them raised the peak resident size by 6-8%
-        slots.append(pairs["i"] + (a - start))
+        slots.append(rows[pairs["i"]] - at)
         cols.append(pairs["j"].copy())
-        size += len(pairs)
-        if size < _BLOCK and b < len(at):
+        size += max(len(pairs), b - a)
+        if size < _BLOCK and b < tree.n:
             continue
-        pos = at[start:b]
-        rows = order[pos]
-        heads, _, settled = _settle(
-            P, spec, box, e, rows, np.concatenate(slots), np.concatenate(cols), radius[group[start:b]]
-        )
-        ok = settled.all(axis=1)
-        out.append(_as_arcs(rows[ok], heads[ok]))
-        done[pos[ok]] = True
-        slots, cols, start, size = [], [], b, 0
-    return out, order[~done]
+        pend = (order[at:b], -1, np.inf)
+        yield _settle(P, spec, box, e, pend, np.concatenate(slots), np.concatenate(cols), seen[at:b], out)
+        slots, cols, at, size = [], [], b, 0
 
 
 def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     """Staged search, then a scan of nearby blocks for the rows it leaves.
 
-    Rows go in kd-tree leaf order. A cone is settled by the points a search
-    stage sees when its winner lies strictly inside the stage's horizon, or
-    when it has none and its part of the bounding box lies strictly inside
-    the horizon (``_cone_reach``). The first stage is a fixed-radius join
-    sized for k = 4p + 16 points per row (``_yao_join``); the rows it
-    leaves query their 4k nearest points, capped at n - 1, where every row
-    settles; the rows with a cone left open go to ``_yao_blocks``."""
-    n = len(P)
+    Rows go in kd-tree leaf order, and both search stages settle them with
+    ``_settle``. The first stage is a fixed-radius join sized for k = 4p +
+    16 points per row (``_yao_join``); the rows it leaves pair with their 4k
+    nearest points, capped at n - 1, and take the next nearest point's
+    distance as the horizon: inf where there is none, as the stage has then
+    seen every point. The rows with a cone left open go to ``_yao_blocks``."""
     e, Q, tree = _scaled_tree(P)
     cuts = _leaf_cuts(P, tree)
     box = np.concatenate([P.min(axis=0), P.max(axis=0)])
     k = 4 * spec.p + 16
+    m = min(4 * k, len(P) - 1)
+    B = max(1, _BLOCK // (m + 2))
+    out, left = [], []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out, pending = _yao_join(P, Q, e, spec, tree, cuts, box, k)
-        k = min(4 * k, n - 1)
-        left = [(pending[:0], np.empty((0, spec.p), dtype=np.int64), np.empty((0, spec.p)))]
-        B = max(1, _BLOCK // (k + 1))
-        for lo in range(0, len(pending), B):
-            rows = pending[lo:lo + B]
-            dk, ik = tree.query(Q[rows], k=k + 1)
-            slot = np.repeat(np.arange(len(rows)), k + 1)
-            heads, hd2, settled = _settle(P, spec, box, e, rows, slot, ik.ravel(), dk[:, -1])
-            done = settled.all(axis=1) | (k == n - 1)
-            out.append(_as_arcs(rows[done], heads[done]))
-            left.append((rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]))
-    pending, heads, bound = (np.concatenate(a) for a in zip(*left))
-    if len(pending):
-        out.append(_yao_blocks(P, spec, tree, cuts, pending, heads, bound))
+        rows, heads, bound = (np.concatenate(a) for a in zip(*_yao_join(P, Q, e, spec, tree, cuts, box, k, out)))
+        for lo in range(0, len(rows), B):
+            c = slice(lo, lo + B)
+            # the row, its m nearest points and one more, whose distance is
+            # the horizon; a missing point has distance inf and index n
+            dk, ik = tree.query(Q[rows[c]], k=m + 2)
+            slot = np.repeat(np.arange(len(ik)), m + 1)
+            pend = (rows[c], heads[c], bound[c])
+            left.append(_settle(P, spec, box, e, pend, slot, ik[:, :-1].ravel(), dk[:, -1], out))
+        # no record is left where the join left no row
+        if left:
+            rows, heads, bound = (np.concatenate(a) for a in zip(*left))
+    if len(rows):
+        out.append(_yao_blocks(P, spec, tree, cuts, rows, heads, bound))
     return np.concatenate(out)
 
 

@@ -266,6 +266,16 @@ class TestMaxEdgeLength:
         with pytest.raises(ParameterError):
             max_edge_length(Graph(3, [(0, 1)]), PointSet([(0.0, 0.0), (1.0, 1.0)]))
 
+    def test_overflowing_length(self):
+        # the difference of the ends overflows; an inf length, with a
+        # RuntimeWarning, is no answer
+        pts = PointSet([(-1e308, 0.0), (1e308, 0.0), (0.0, 0.0)])
+        with pytest.raises(ParameterError, match="overflows"):
+            max_edge_length(Graph(3, [(0, 1)]), pts)
+        with pytest.raises(ParameterError, match="overflows"):
+            max_edge_length(Graph(3, [(1, 2), (0, 2)]), PointSet([(1.5e308, 1.5e308), (0.0, 0.0), (0.0, 1.0)]))
+        assert max_edge_length(Graph(3, [(0, 2), (1, 2)]), pts) == 1e308
+
 
 def whole_matrix_stretch(g, pts):
     """The first maximum, in row-major order, of the whole ratio matrix:

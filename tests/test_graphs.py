@@ -392,6 +392,10 @@ def adversarial_families():
     # every pair is a candidate, and most long pairs keep their lune, so
     # each is tested against every point
     fams["uniform-300-1e155"] = 1e155 * np.random.default_rng(3).random((300, 2))
+    # the allowance's floor of 2**-500 input units dwarfs the span, so every
+    # pair's ball holds every point; all squared distances underflow to 0,
+    # and every pair is an edge
+    fams["uniform-300-1e-300"] = 1e-300 * np.random.default_rng(4).random((300, 2))
 
     # Gabriel edges certified from the triangulation, with no test: small
     # triangles among uniform points whose vertex w opposite the edge uv
@@ -497,16 +501,21 @@ def overflowing_300():
     return dict(adversarial_families())["uniform-300-1e155"]
 
 
+def underflowing_300():
+    return dict(adversarial_families())["uniform-300-1e-300"]
+
+
 @pytest.mark.parametrize("build", [gabriel, rng_graph], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
-    "layout", [dense_square, ring_1000, deep_square, overflowing_300], ids=lambda f: f.__name__
+    "layout", [dense_square, ring_1000, deep_square, overflowing_300, underflowing_300], ids=lambda f: f.__name__
 )
 def test_builders_bounded_cost(layout, build):
     # a candidate search sized by the global point density goes quadratic
     # on the first two (4.9-28 s, 1.3-4.1 GB resident); the bounds leave
     # five-fold headroom over the cost of the triangulation's candidates.
     # Fetching the ball of every point for each overflowing pair as a list
-    # took 3.3 s and 1.0 GB traced for rng_graph on the last
+    # took 3.3 s and 1.0 GB traced for rng_graph on the fourth, and 2.4-3.4 s
+    # and 1.4-1.6 GB on the last, where every ball holds every point
     pts = PointSet(layout())
     t0 = time.perf_counter()
     build(pts)
@@ -684,6 +693,31 @@ def block_scan_families():
         ("uniform-1000-1e-300", 1e-300 * uniform, 1.0),
         ("clusters-5x200-1e-12", np.vstack(clusters + [rng.random((500, 2))]), 0.0),
     ]
+
+
+def axis_families():
+    """Layouts whose points share a coordinate with many others, each with
+    the cone specs to test: rows whose blocks and bounding box lie on an
+    axis line through them. A row and a column, a row at y = +0 and -0
+    mixed, a row among uniform points and four columns, at 300 points for
+    every p from 2 to 8 and offsets on and off the axes, and at 2,600."""
+    fams = []
+    for n in (300, 2600):
+        rng = np.random.default_rng(n)
+        t = rng.random(n)
+        zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        if n == 300:
+            specs = [(p, a) for p in range(2, 9) for a in (0.0, np.pi / 4.0, np.pi / 2.0, 1.0)]
+        else:
+            specs = [(2, np.pi / 2.0), (8, 1.0)]
+        fams += [
+            (f"row-{n}", np.column_stack([t, np.full(n, 0.5)]), specs),
+            (f"column-{n}", np.column_stack([np.full(n, 0.5), t]), specs),
+            (f"signed-zero-row-{n}", np.column_stack([t - 0.5, zeros]), specs),
+            (f"row-plus-uniform-{n}", np.vstack([np.column_stack([t, np.full(n, 0.5)]), rng.random((n // 4, 2))]), specs),
+            (f"four-columns-{n}", np.column_stack([np.repeat([0.2, 0.4, 0.6, 0.8], n // 4), t]), specs),
+        ]
+    return fams
 
 
 # (left, mid, right) point counts of layouts whose median column splits
@@ -924,6 +958,39 @@ class TestYao:
         assert {(int(a), int(b)) for a, b in got.edges} == yao_oracle(pts, spec)
         assert sum(scanned) == pts.n
 
+    @pytest.mark.parametrize(
+        "name, coords, specs", [pytest.param(*f, id=f[0]) for f in axis_families()]
+    )
+    def test_axis_layouts_match_dense(self, name, coords, specs):
+        # a box on an axis line through a row meets only the cones of the
+        # axis directions, so an empty cone of a row on a line settles from
+        # the bounding box's reach, whose corners lie on that line
+        pts = PointSet(coords)
+        for p, offset in specs:
+            spec = ConeSpec(p, offset=offset)
+            assert yao(pts, spec) == DiGraph(pts.n, _yao_dense(pts.coords, spec)), (p, offset)
+
+    @pytest.mark.parametrize(
+        "n, cases",
+        [(n, [(far, p) for far in (1e300, 1e160, 1e100, 1e20) for p in (2, 4, 8)]) for n in (20, 100, 500)]
+        + [(3000, [(1e300, 2), (1e20, 8)])],
+        ids=["20", "100", "500", "3000"],
+    )
+    def test_mixed_scales_match_dense(self, n, cases):
+        # n uniform points times 1e-300 and one far point. Scaled by the
+        # power of two that brings the far point near 1, the tiny points
+        # flush to 0 when the far point is at 1e100 or more, and the kd-tree
+        # holds them in one leaf, larger than a group; grouping only
+        # subtrees of at most max(sqrt(8n), 32) points left that leaf out of
+        # every group and raised IndexError from n = 100 on. With the far
+        # point at 1e20 they turn subnormal. Every row of the leaf scans all
+        # of it, about 0.9 s at 3,000 points, so that size takes two cases
+        tiny = 1e-300 * np.random.default_rng(n).random((n, 2))
+        for far, p in cases:
+            pts = PointSet(np.vstack([tiny, [(far, far)]]))
+            spec = ConeSpec(p)
+            assert yao(pts, spec) == DiGraph(pts.n, _yao_dense(pts.coords, spec)), (far, p)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 3.7e-320, 1e300])
     def test_leaf_layout(self, scale):
         # uniform points at every n from 2 to 300 and the tied splits: the
@@ -997,8 +1064,9 @@ class TestYao:
             (lambda: uniform_points(seed=60, n=30000), 12),
             (lambda: PointSet(ring(3000)), 8),
             (lambda: PointSet(ring(10000)), 8),
+            (lambda: PointSet(np.column_stack([np.arange(10000) / 10000.0, np.full(10000, 0.5)])), 4),
         ],
-        ids=["uniform-30000", "ring-3000", "ring-10000"],
+        ids=["uniform-30000", "ring-3000", "ring-10000", "row-10000"],
     )
     def test_bounded_cost(self, layout, p):
         # a search that cannot settle a row with an empty cone before
@@ -1007,7 +1075,11 @@ class TestYao:
         # beyond two only adds cost. Scanning all points for those rows
         # takes 3.6-7.5 s on the larger ring; the block scan takes 1.1-1.5 s
         # there and the others 0.4-1.2 s, all at most 31 MB, so the bounds
-        # leave about three-fold headroom or more
+        # leave about three-fold headroom or more. On the row of points the
+        # empty cones settle only when the row's bounding box, whose
+        # corners lie on the row, meets just the cones of the axis
+        # directions; otherwise every row scans every point on its side,
+        # 12 s in all
         pts = layout()
         spec = ConeSpec(p)
         t0 = time.perf_counter()
