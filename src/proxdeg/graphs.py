@@ -15,62 +15,108 @@ inside the disk graph.
 
 Completeness. In exact arithmetic the Gabriel graph lies inside the
 Delaunay graph (Matula & Sokal 1980), which holds the relative
-neighborhood graph (Toussaint 1980): a pair with an empty disk or lune
-has an empty circle through it, so it is an edge of the triangulation or
-a chord of a face of four or more cocircular points, and then a diameter
-of that face, as a shorter chord has face points strictly inside its
-disk. The raw predicates differ from exact ones only for points within
+neighborhood graph (Toussaint 1980): a pair uv with an empty disk or
+lune has its diametral circle C empty, with no point strictly inside.
+The raw predicates differ from exact ones only for points within
 rounding of a region's boundary, which the incircle test counts as
 cocircular: its allowance has a relative term and an absolute one, an
-ulp of the largest coordinate, for the rounding of midpoints. The
-candidates are:
+ulp of the largest coordinate, for the rounding of midpoints. Qhull
+works on lifted coordinates, so it drops points as coplanar and
+triangulates arbitrarily where features are below about 1e-8 of the
+bounding box. The candidates are every edge of the triangulation and,
+for each point it cannot vouch for, the pairs the cone search below
+gives that point. A seed is a triangle next to a shared edge whose
+incircle value is not below minus its allowance, one that fails the test
+or passes it only up to rounding, or a triangle Qhull folded over, whose
+float orientation is not counterclockwise beyond 1e-12 of its longer
+side from its first vertex, squared: the test of its edges from its own
+side can pass. The points searched are those Qhull dropped, the
+vertices of seeds, and the points strictly inside a seed's
+circumcircle, beyond the allowance; where Qhull fails, or leaks its
+point at infinity on nearly flat input, every point. Every edge uv then
+has an end searched, or is an edge of the triangulation:
 
-1. every edge of the triangulation;
-2. for adjacent triangles cocircular within the allowance: the other
-   diagonal, and each vertex with every point near its antipode on
-   either circumcircle, which finds the diameters of large cocircular
-   sets without pairing all their points;
-3. the pairs inside each hole, a connected set of triangles that are not
-   Delaunay. Qhull works on lifted coordinates, so it drops points as
-   coplanar and triangulates arbitrarily where features are below about
-   1e-8 of the bounding box. Holes start at adjacent triangles that fail
-   the incircle test, or pass it only up to rounding, and around the
-   vertex nearest each dropped point, and grow across every neighbour
-   whose circumcircle holds a point. A walk from a triangle whose circle
-   holds a point towards that point crosses only such triangles until a
-   pair fails the test, so every Delaunay edge Qhull missed joins two
-   points of one hole. Its core points get their candidates from this
-   construction run on them alone, at their own scale; every other point
-   of the hole pairs with all of them.
+- An edge with a dropped end is searched. Any other edge is an edge of
+  the points Qhull kept too, which hold fewer witnesses.
+- If uv is no edge of the triangulation, the segment uv leaves u
+  through a triangle uab and crosses ab, and a and b are not strictly
+  inside C. Inverting about u turns C into a line through the image of v
+  with the images of a and b on u's side, and the circle of uab into the
+  line through those two; the ray from u through v crosses that second
+  line between them, before the first, so v lies strictly inside the
+  circle of uab unless a and b both lie on C. If both do, the third
+  vertex x of the triangle across ab lies on C, so that ab is cocircular
+  and uab a seed, or outside it, so that v lies strictly inside the
+  circle of abx, as the circles through a and b nest beyond ab. So u is
+  a seed's vertex, or v lies strictly inside the circle of a triangle.
+- A walk from a triangle whose circle holds v strictly towards v keeps v
+  strictly inside the circle of each triangle it enters across an edge
+  that passes the incircle test, as those circles nest beyond the edge.
+  It ends in a triangle with v as a vertex, so it crosses an edge that
+  does not pass, and v lies strictly inside the circle of the seed
+  before it: v is searched.
 
-Input too flat for Qhull is split into runs along its principal axis
-(``_line_pairs``).
+Search. ``_search_pairs`` gives a searched point u every point v such
+that uv can be an edge of either graph. It works in Q, the points scaled
+below, with eight cones centred on the axes (``_SEARCH``) and Yao's cone
+index, reach and horizon rules (below). Let beta = slack + 1e-12 L, L the
+diagonal of Q's bounding box, at least the band of the certificate below
+for every pair. If (w - u).(w - v) < -|uv| beta for a point w other than
+u and v, then w lies within r - beta of uv's exact midpoint, r = |uv| /
+2, as |w - m|**2 = (w - u).(w - v) + r**2; the raw disk predicate then
+holds for w, by the rounding bounds the certificate derives, read the
+other way, and so does the raw lune predicate, as |uw| and |vw| lie
+below |uv| - beta, a gap the rounding of squared distances cannot
+close. So w is a witness: it kills uv in both graphs.
+``_kills`` tests that condition, with a margin for the rounding of its
+dot product. A coordinate of Q that turns subnormal moves by at most
+2**-1075, far inside beta.
+
+Each step takes the row's k nearest points and one more, whose distance
+gives the horizon H as for Yao, with k = 16, then 64, and so on; a step
+that would take more than a quarter of the points pairs the row with
+every point instead, with H infinite. Let w be the winner of a cone, its
+nearest point seen, a = |uw|, and c the cosine of pi/4 + 2e-9, the
+widest angle between two points a float cone index puts in one cone.
+For v in the cone, (w - u).(w - v) <= a**2 - a|uv|c, so when ac > 2 beta
+every point of the cone beyond D = a**2 / (ac - beta) is killed. The
+cone is bounded once D**2, times 1 + 1e-9 for the rounding of D, lies
+strictly inside H, and an empty cone once its reach within the bounding
+box does, as for Yao; H infinite bounds every cone. A row whose every
+cone is bounded keeps each point it has seen within D that neither its
+cone's winner nor those of the two cones next to it kill; every other
+point but u is killed. Where both ends of a pair are searched, each
+keeps the pair or drops it with a witness at hand, so the pair is a
+candidate only if both keep it, and it tries both winners first.
 
 Range. The candidates come from the points scaled by the power of two
 that brings the largest coordinate near 1. That scaling is exact, so
 the geometry is unchanged, and the incircle terms of degree 4 cannot
-overflow. The raw predicates run on the input itself and
-follow the geometry only while squared distances stay in the normal
-range. Below it they round to subnormals, so the allowance never drops
-under 2**-500 input units and such close points fall into holes, which
-pair them all. Above it they overflow: a pair whose squared length is
-infinite has every other point with a finite distance as a witness, so
-input spanning 2**510 or more takes every pair as a candidate; its
-output can hold most pairs anyway. Such a pair is tested against every
-point in bounded chunks rather than through a ball holding them all, as
-is a pair whose ball reaches the diagonal of Q's bounding box: on input
-spanning less than 2**-500, the allowance's floor makes every ball that
-wide. Scanning every point is always correct, so that condition sets
-only the cost.
+overflow. The raw predicates run on the input itself and follow the
+geometry only while squared distances stay in the normal range. Below
+it they round to subnormals, so the allowance, and beta with it, never
+drops under 2**-500 input units: on input spanning less than about
+that, beta exceeds every distance, no winner bounds its cone or kills a
+point, every searched point scans every point, and every pair is a
+candidate. Above it they
+overflow: a pair whose squared length is infinite has every other
+point with a finite distance as a witness, so input spanning 2**510 or
+more takes every pair as a candidate (``_all_pairs``) with no
+triangulation; its output can hold most pairs anyway. Such a pair is
+tested against every point in bounded chunks rather than through a
+ball holding them all, as is a pair whose ball reaches the diagonal of
+Q's bounding box: on input spanning less than 2**-500, the allowance's
+floor makes every ball that wide. Scanning every point is always
+correct, so that condition sets only the cost.
 
 The argument assumes that Qhull's output is a valid triangulation of
-the points it keeps, with no overlapping triangles outside the holes;
-differential tests against the references on adversarial layouts back
-it. It does not depend on the order of the input: Qhull runs on the
-points in the kd-tree's leaf order, so that near points are near in
-memory, and the order only changes choices the candidates cover anyway,
-such as which diagonal of a cocircular quadrilateral it draws or which
-point of a coplanar pair it drops.
+the points it keeps, whose triangles tile their hull, away from the
+triangles it folds; differential tests against the references on
+adversarial layouts back it. It does not depend on the order of the
+input: Qhull runs on the points in the kd-tree's leaf order, so that
+near points are near in memory, and the order only changes choices the
+candidates cover anyway, such as which diagonal of a cocircular
+quadrilateral it draws or which point of a coplanar pair it drops.
 
 Testing. Each candidate comes with two points to test first, the
 vertices opposite its edge in the two adjacent triangles. In exact
@@ -81,10 +127,9 @@ relative-neighborhood edges have one in the lune. The test is the raw
 predicate itself, and a real point that passes it is a witness, so a
 pair it kills is no edge of the reference either: the kill needs no
 allowance and no step of its own in the argument. Where a pair has no
-opposite vertex (one side of a hull edge, the antipode, hole and line
-pairs, and every pair when all pairs are candidates) one of its own ends
-stands in, which the predicate never counts; the other diagonal of a
-cocircular quadrilateral takes the shared edge's ends. The survivors
+opposite vertex (one side of a hull edge, and every pair when all pairs
+are candidates) one of its own ends stands in, which the predicate never
+counts; a pair from the search takes its cone winners. The survivors
 fetch their nearest points to the midpoint: three for Gabriel, where a
 surviving edge's ends are the two nearest, so the third decides, and
 four for the relative neighborhood graph, whose lune's ball holds more
@@ -101,7 +146,7 @@ length below makes that negligible against every allowance.
 
 The global precondition, checked once per call: Qhull dropped no point;
 the incircle value of every shared edge is below minus its allowance,
-so no triangle is in a hole; for every shared edge uv, with opposite
+so no triangle is a seed; for every shared edge uv, with opposite
 vertices w and w', the float cross products (u - w) x (v - w) and (u -
 w') x (v - w') have opposite signs and exceed 1e-12 L**2 in size, where
 L is the longest of uw, vw, uw' and vw'; and every edge's squared length
@@ -168,9 +213,8 @@ A shared edge is certified when both angles are acute by a margin, each
 dot product above 1e-12 L**2; the tangents are bounded above from the
 float dot and cross products with that error; and the shortest edge,
 squared, times 1 - 1e-9, exceeds rho**2 times 1 + 1e-9, margins that
-cover the rounding of these bounds. Hull edges, hole, cocircular,
-antipode and line pairs are never certified, nor is any pair where the
-precondition fails. ``rng_graph`` certifies nothing: the lune does not
+cover the rounding of these bounds. Hull edges and pairs from the search
+are never certified, nor is any pair where the precondition fails. ``rng_graph`` certifies nothing: the lune does not
 lie inside the two circumdisks.
 
 Yao. ``yao`` takes one path at every size, visiting points in the
@@ -283,8 +327,6 @@ import math
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import ParameterError, check_int, check_number
@@ -296,9 +338,6 @@ RNG = "rng"
 # two adjacent triangles count as cocircular when their float incircle
 # value is below this fraction of its permanent
 _COCIRCULAR_TOL = 1e-9
-
-# radius of the antipode search, as a fraction of the circle's radius
-_ANTIPODE_TOL = 1e-6
 
 # ulps of the largest coordinate allowed for the rounding of a midpoint
 _ULP_SLACK = 128.0
@@ -325,6 +364,11 @@ _BLOCK = 2 ** 18
 
 # rows per chunk of the per-edge triangulation tests
 _CHUNK = 2 ** 15
+
+# the cone search's cones, centred on the axes as the bounding box's
+# edges are, and the nearest points of its first step
+_SEARCH = ConeSpec(8, math.pi / 8.0)
+_SEARCH_K = 16
 
 # nearest points to a pair's midpoint fetched before its whole ball. A
 # Gabriel edge's ends are the two nearest, so the third decides; the
@@ -512,14 +556,10 @@ def _inside(xy, wit, u, v, mid, duv2, kind):
     return inside & (wit != u) & (wit != v)
 
 
-def _placeholders(pairs):
-    """Pairs (u, v) as candidates (u, v, u, u): no witness to try first."""
-    return pairs[:, [0, 1, 0, 0]]
-
-
 def _all_pairs(n):
-    """Every pair of n points as candidates."""
-    return _placeholders(np.column_stack(np.triu_indices(n, k=1)))
+    """Every pair (u, v) of n points as a candidate (u, v, u, u), with no
+    witness to try first."""
+    return np.column_stack(np.triu_indices(n, k=1))[:, [0, 1, 0, 0]]
 
 
 def _scan_all(xy, u, v, mid, duv2, kind):
@@ -616,17 +656,15 @@ def _ulp_slack(P, floor) -> float:
 def _incircle(P, abc, d, slack):
     """Float incircle test of points ``d`` against triangles ``abc``.
 
-    Returns (value, allowance, noisy): value > 0 when d lies inside the
+    Returns (value, allowance): value > 0 when d lies inside the
     circumcircle; values within the allowance of zero count as
     cocircular. The allowance covers the relative tolerance and a
-    coordinate uncertainty of ``slack``; ``noisy`` marks where the
-    latter dominates. Rows go in chunks of ``_CHUNK``, whose temporaries
-    stay in cache."""
+    coordinate uncertainty of ``slack``. Rows go in chunks of ``_CHUNK``,
+    whose temporaries stay in cache."""
     m = len(d)
     x, y = P[:, 0], P[:, 1]
     value = np.empty(m)
     allowance = np.empty(m)
-    noisy = np.empty(m, dtype=bool)
     for lo in range(0, m, _CHUNK):
         c = slice(lo, lo + _CHUNK)
         dx = x[d[c]]
@@ -651,117 +689,37 @@ def _incircle(P, abc, d, slack):
             np.maximum(np.abs(ax), np.abs(ay)),
             np.maximum(np.maximum(np.abs(bx), np.abs(by)), np.maximum(np.abs(cx), np.abs(cy))),
         )
-        rel = _COCIRCULAR_TOL * perm
-        noise = slack * span ** 3
         value[c] = det * np.sign(orient)
-        allowance[c] = rel + noise
-        noisy[c] = noise > rel
-    return value, allowance, noisy
+        allowance[c] = _COCIRCULAR_TOL * perm + slack * span ** 3
+    return value, allowance
 
 
-def _circumcircles(P, T):
-    """Circumcentres of triangles T and upper bounds on their radii;
-    neither is finite for a degenerate triangle."""
-    A = P[T[:, 0]]
-    b = P[T[:, 1]] - A
-    c = P[T[:, 2]] - A
+def _circumradii(P, T):
+    """Upper bounds on the circumradii of triangles T, not finite for a
+    degenerate triangle."""
+    b = P[T[:, 1]] - P[T[:, 0]]
+    c = P[T[:, 2]] - P[T[:, 0]]
     bl = (b * b).sum(axis=1)
     cl = (c * c).sum(axis=1)
     cross = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = np.column_stack([c[:, 1] * bl - b[:, 1] * cl, b[:, 0] * cl - c[:, 0] * bl])
-        off /= 2.0 * cross[:, None]
-        r = np.hypot(off[:, 0], off[:, 1]) * (1.0 + 8.0 * _EPS * np.maximum(bl, cl) / np.abs(cross))
-    return A + off, r
+        r = np.hypot(c[:, 1] * bl - b[:, 1] * cl, b[:, 0] * cl - c[:, 0] * bl) / np.abs(2.0 * cross)
+        return r * (1.0 + 8.0 * _EPS * np.maximum(bl, cl) / np.abs(cross))
 
 
-def _conflicts(P, tree, T, tris, dropped, slack):
-    """(triangle, point, strict) for each point strictly inside the
-    circumcircle of one of the triangles ``tris``, and each dropped point
-    on it. The fetch ball around a vertex has twice the radius bound, so
-    it covers the circumdisk without trusting the rounded centre."""
-    _, r = _circumcircles(P, T[tris])
-    ok = np.isfinite(r)
-    ti, pt = _ball_pairs(tree, tris[ok], P[T[tris[ok], 0]], 2.0 * r[ok] * (1.0 + 1e-9) + slack)
-    other = (T[ti] != pt[:, None]).all(axis=1)
-    ti = ti[other]
-    pt = pt[other]
-    ins, tol, _ = _incircle(P, T[ti], pt, slack)
-    keep = (ins > tol) | (dropped[pt] & (ins >= -tol))
-    return ti[keep], pt[keep], ins[keep] > tol[keep]
-
-
-def _hole_pairs(P, tree, T, nb, hole, dropped, slack, floor) -> np.ndarray:
-    """Candidates inside the holes where Qhull's triangulation is not
-    Delaunay, as ``_candidate_pairs`` gives them.
-
-    Holes grow from the seed triangles in ``hole`` across every neighbour
-    in conflict with a point, so each ends up a connected set of
-    triangles that holds every Delaunay edge Qhull missed there, with
-    both its endpoints. The core points (the conflicting points and the
-    vertices of strictly conflicting triangles) pair as this construction
-    finds for them alone; every other hole point pairs with all of the
-    hole's points."""
-    n = len(P)
-    m = len(T)
-    found = []
-    tris = np.flatnonzero(hole)
-    while len(tris):
-        ti, pt, strict = _conflicts(P, tree, T, tris, dropped, slack)
-        found.append((ti, pt, strict))
-        hole[ti] = True
-        tris = np.setdiff1d(nb[ti].ravel(), np.flatnonzero(hole))
-        tris = tris[tris >= 0]
-    ti, pt, strict = (np.concatenate(x) for x in zip(*found))
-    t, k = np.nonzero(nb >= 0)
-    s = nb[t, k]
-    both = hole[t] & hole[s]
-    links = coo_matrix((np.ones(int(both.sum())), (t[both], s[both])), shape=(m, m))
-    label = connected_components(links, directed=False)[1]
-    core = np.zeros(n, dtype=bool)
-    core[pt] = True
-    core[T[ti[strict]].ravel()] = True
-    ht = np.flatnonzero(hole)
-    key = np.unique(
-        np.concatenate([np.repeat(label[ht], 3), label[ti]]) * n
-        + np.concatenate([T[ht].ravel(), pt])
-    )
-    labs = key // n
-    out = []
-    for members in np.split(key % n, np.flatnonzero(np.diff(labs)) + 1):
-        inner = members[core[members]]
-        a, b = np.meshgrid(members[~core[members]], members)
-        out.append(_placeholders(np.column_stack([a.ravel(), b.ravel()])))
-        if len(inner) == n:
-            # nothing smaller to recurse on: Qhull resolves none of it
-            out.append(_all_pairs(n))
-        elif len(inner) >= 2:
-            out.append(inner[_candidate_pairs(P[inner], cKDTree(P[inner]), floor)[0]])
-    return np.concatenate(out)
-
-
-def _line_pairs(P, slack):
-    """Candidates from the points' order along their principal axis.
-
-    The sorted points split into runs wherever consecutive points are at
-    least ``gap`` apart along the axis. A point of a run strictly between
-    two others lies inside their diametral disk and lune by a margin above
-    ``gap**2 - (2 * width)**2``, which covers the rounding of the raw
-    predicates; so only pairs within one run or two adjacent runs remain."""
-    n = len(P)
-    c = P - P.mean(axis=0)
-    axes = np.linalg.eigh(c.T @ c)[1]
-    width = np.abs(c @ axes[:, 0]).max()
-    s = c @ axes[:, 1]
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    span = s[-1] - s[0]
-    gap = 2.0 * width + math.sqrt(slack * (span + slack) + _ULP_SLACK * _EPS * span * span)
-    run = np.concatenate([[0], np.cumsum(np.diff(s) >= gap)])
-    cnt = np.searchsorted(run, run + 2) - np.arange(n) - 1
-    i = np.repeat(np.arange(n), cnt)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return _placeholders(np.column_stack([order[i], order[j]]))
+def _folded(P, T):
+    """Which triangles T of P are not counterclockwise beyond the rounding
+    of their float orientation, in chunks of ``_CHUNK``."""
+    x, y = P[:, 0], P[:, 1]
+    out = np.empty(len(T), dtype=bool)
+    for lo in range(0, len(T), _CHUNK):
+        t = T[lo:lo + _CHUNK]
+        bx = x[t[:, 1]] - x[t[:, 0]]
+        by = y[t[:, 1]] - y[t[:, 0]]
+        cx = x[t[:, 2]] - x[t[:, 0]]
+        cy = y[t[:, 2]] - y[t[:, 0]]
+        out[lo:lo + _CHUNK] = bx * cy - by * cx <= _CERT_REL * np.maximum(bx * bx + by * by, cx * cx + cy * cy)
+    return out
 
 
 def _certified(P, cand, shared, ins, tol, slack):
@@ -816,19 +774,102 @@ def _certified(P, cand, shared, ins, tol, slack):
     return sure
 
 
+def _kills(P, u, v, w, margin):
+    """Whether (w - u).(w - v) < -margin for each row, beyond the rounding
+    of the float dot product: with ``margin`` |uv| times the band of the
+    module docstring, w lies in the disk and the lune of (u, v) under the
+    raw predicates."""
+    x, y = P[:, 0], P[:, 1]
+    ax = x[w] - x[u]
+    ay = y[w] - y[u]
+    bx = x[w] - x[v]
+    by = y[w] - y[v]
+    err = 1e-12 * (ax * ax + ay * ay + bx * bx + by * by)
+    return ax * bx + ay * by + err < -margin * (1.0 + 1e-9)
+
+
+def _search_pairs(P, tree, flagged, slack):
+    """Candidates (u, v, a, b), each pair once, that include every Gabriel
+    and relative-neighborhood edge of P with an end in ``flagged``, by the
+    cone search of the module docstring; a and b are the winners of the
+    cones each end finds the other in, or one of them twice. ``tree``
+    indexes P, and ``slack`` is the coordinate uncertainty.
+
+    Rows take the k = ``_SEARCH_K`` nearest points, then 4k, and so on
+    until every cone of ``_SEARCH`` is bounded; a step that would take more
+    than a quarter of the points scans them all instead, and settles
+    every row."""
+    n = len(P)
+    box = np.concatenate([P.min(axis=0), P.max(axis=0)])
+    band = slack + _CERT_REL * np.hypot(*np.ptp(P, axis=0))
+    cos = math.cos(_SEARCH.theta + 2.0 * _WIDEN)
+    rows = np.flatnonzero(flagged)
+    out = []
+    m = _SEARCH_K
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(rows):
+            full = 4 * m > n
+            B = max(1, _BLOCK // (n if full else m + 2))
+            left = []
+            for lo in range(0, len(rows), B):
+                r = rows[lo:lo + B]
+                if full:
+                    slot = np.repeat(np.arange(len(r)), n)
+                    cols = np.tile(np.arange(n), len(r))
+                    H = np.full((len(r), 1), np.inf)
+                else:
+                    # the row, m nearest points and one for the horizon
+                    dk, ik = tree.query(P[r], k=m + 2)
+                    slot = np.repeat(np.arange(len(r)), m + 1)
+                    cols = ik[:, :-1].ravel()
+                    H = _horizon(dk[:, -1], 0)[:, None]
+                heads, hd2, g, d2 = _cone_nearest(P, r, slot, cols, _SEARCH)
+                # points beyond sqrt(bound) have their cone's winner in their
+                # disk and lune; an empty cone is bounded by its reach
+                a = np.sqrt(hd2)
+                bound = np.where(a * cos > 2.0 * band, (a * a / (a * cos - band)) ** 2 * (1.0 + 1e-9), np.inf)
+                empty = heads < 0
+                limit = np.where(empty, np.inf, bound)
+                need = empty.any(axis=1) & (H[:, 0] > 0.0) & (H[:, 0] < np.inf)
+                limit[need] = np.where(empty[need], _cone_reach(P, r[need], _SEARCH, box) * (1.0 + 1e-9), limit[need])
+                done = ((limit < H) | (H == np.inf)).all(axis=1)
+                # a done row keeps the points no winner of their cone or the
+                # two next to it kills; the row itself is group m * p
+                at = np.flatnonzero(done[slot] & (g < bound.size))
+                at = at[d2[at] <= bound.ravel()[g[at]]]
+                for c in (0, 1, -1):
+                    u = r[slot[at]]
+                    w = heads[slot[at], (g[at] + c) % _SEARCH.p]
+                    at = at[~_kills(P, u, cols[at], np.where(w < 0, u, w), np.sqrt(d2[at]) * band)]
+                w = heads.ravel()[g[at]]
+                out.append(np.column_stack([r[slot[at]], cols[at], w, w]))
+                left.append(r[~done])
+            rows = np.concatenate(left)
+            m *= 4
+    found = np.concatenate(out)
+    # a pair found twice, once from each end, tries both winners first; a
+    # pair that one of two flagged ends dropped has a witness there
+    key = np.minimum(found[:, 0], found[:, 1]) * n + np.maximum(found[:, 0], found[:, 1])
+    at = np.argsort(key, kind="stable")
+    key = key[at]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    two = np.diff(np.append(first, len(key))) == 2
+    pairs = found[at[first]]
+    pairs[two, 3] = found[at[first[two] + 1], 2]
+    return pairs[two | ~flagged[pairs[:, 1]]]
+
+
 def _candidate_pairs(P, tree, floor, certify=False):
     """Candidates (u, v, a, b), u != v, whose pairs include every Gabriel
-    and every relative-neighborhood edge of P; a and b are the vertices
-    opposite the pair in the triangulation, or u where there is none. See
-    the module docstring. ``tree`` indexes P, and ``floor`` bounds the
-    coordinate uncertainty below.
+    and every relative-neighborhood edge of P; a and b are witnesses to try
+    first: the vertices opposite a triangulation edge, u where there is
+    none, or the search's cone winners. See the module docstring. ``tree``
+    indexes P, and ``floor`` bounds the coordinate uncertainty below.
 
     Returns the candidates and, when ``certify``, a mask of those that are
     Gabriel edges with no test (``_certified``), or None. Only a
-    triangulation with no hole, so that the candidates are its edges each
-    once, certifies any; the pairs of holes, including those of the
-    recursion on a hole's core, which sees the core's points alone, and the
-    cocircular, antipode and line pairs never are."""
+    triangulation that vouches for every point, so that the candidates are
+    its edges each once, certifies any."""
     n = len(P)
     slack = _ulp_slack(P, floor)
     # points in the tree's leaf order are near in memory where near in space;
@@ -838,10 +879,10 @@ def _candidate_pairs(P, tree, floor, certify=False):
     try:
         tri = Delaunay(Po - P.min(axis=0))
     except QhullError:
-        return _line_pairs(P, slack), None
-    if (tri.simplices >= n).any():
-        # Qhull's point at infinity leaks into the output of nearly flat input
-        return _line_pairs(P, slack), None
+        tri = None
+    # Qhull's point at infinity leaks into the output of nearly flat input
+    if tri is None or (tri.simplices >= n).any():
+        return _search_pairs(P, tree, np.ones(n, dtype=bool), slack), None
     T = tri.simplices.astype(np.int64)
     nb = tri.neighbors.astype(np.int64)
     # Qhull's arrays hold about 130 bytes per point that nothing below uses
@@ -856,7 +897,10 @@ def _candidate_pairs(P, tree, floor, certify=False):
     k = k[shared]
     s = nb[t, k]
     cand[shared, 3] = T[s, np.argmax(nb[s] == t[:, None], axis=1)]
-    ins, tol, noisy = _incircle(Po, T[t], cand[shared, 3], slack)
+    ins, tol = _incircle(Po, T[t], cand[shared, 3], slack)
+    # Qhull can fold a triangle over near its resolution, and the incircle
+    # test of its edges from its own side then passes
+    folded = np.flatnonzero(_folded(Po, T))
     sure = None
     if certify:
         kept = np.zeros(n, dtype=bool)
@@ -866,43 +910,28 @@ def _candidate_pairs(P, tree, floor, certify=False):
     # the rest takes the points' own indices
     T = order[T]
     cand = order[cand]
-    opp = cand[shared, 3]
-    extra = []
-    cocircular = np.abs(ins) <= tol
-    near = cocircular & ~noisy
-    # a pair cocircular only up to rounding is treated as a hole
-    bad = (ins > tol) | (cocircular & noisy)
-    if near.any():
-        # a cocircular quadrilateral's other diagonal, opposite the shared
-        # edge's ends, and the diameters of larger cocircular sets
-        tn = np.union1d(t[near], s[near])
-        centre, r = _circumcircles(P, T[tn])
-        anti = (2.0 * centre[:, None, :] - P[T[tn]]).reshape(-1, 2)
-        rad = np.repeat(_ANTIPODE_TOL * r + slack, 3)
-        ok = np.isfinite(anti).all(axis=1) & np.isfinite(rad)
-        extra.append(np.column_stack([T[t[near], k[near]], opp[near], cand[shared[near], :2]]))
-        extra.append(_placeholders(np.column_stack(_ball_pairs(tree, T[tn].ravel()[ok], anti[ok], rad[ok]))))
-    hole = np.zeros(m, dtype=bool)
-    hole[t[bad]] = True
-    hole[s[bad]] = True
-    dropped = np.ones(n, dtype=bool)
-    dropped[T.ravel()] = False
-    if dropped.any():
-        # Qhull dropped these as coplanar; each conflicts with a triangle
-        # at its nearest vertex
-        vert = np.flatnonzero(~dropped)
-        near_v = cKDTree(P[vert]).query(P[dropped])[1]
-        hole |= np.isin(T, vert[near_v]).any(axis=1)
-    if hole.any():
-        extra.append(_hole_pairs(P, tree, T, nb, hole, dropped, slack, floor))
-    if not extra:
+    # the points the triangulation cannot vouch for; a ball of twice the
+    # radius bound around a vertex holds the circumdisk
+    flagged = np.ones(n, dtype=bool)
+    flagged[T.ravel()] = False
+    bad = ins >= -tol
+    seeds = np.unique(np.concatenate([t[bad], s[bad], folded]))
+    flagged[T[seeds].ravel()] = True
+    free = np.flatnonzero(~flagged)
+    if len(seeds) and len(free):
+        r = _circumradii(P, T[seeds])
+        ok = np.isfinite(r)
+        ti, pt = _ball_pairs(cKDTree(P[free]), seeds[ok], P[T[seeds[ok], 0]], 2.0 * r[ok] * (1.0 + 1e-9) + slack)
+        ins, tol = _incircle(P, T[ti], free[pt], slack)
+        flagged[free[pt[ins > tol]]] = True
+    if not flagged.any():
         return cand, sure
-    cand = np.concatenate([cand] + extra)
+    cand = np.concatenate([cand, _search_pairs(P, tree, flagged, slack)])
     lo = cand[:, :2].min(axis=1)
     hi = cand[:, :2].max(axis=1)
     # each pair once; the first copy, a triangulation edge's if there is one
     first = np.unique(lo * n + hi, return_index=True)[1]
-    return cand[first[lo[first] != hi[first]]], None
+    return cand[first], None
 
 
 def _scaled_tree(P):
@@ -1054,7 +1083,9 @@ def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
     """Per row and cone, the winner under the module's rule among the
     candidate pairs (``rows[slot]``, ``cols``) and its squared distance; the
     head is -1 where the cone holds none. The pairs may come in any order
-    and repeat; a row paired with itself lies in no cone."""
+    and repeat; a row paired with itself lies in no cone. Also returns each
+    pair's group slot * p + cone, m * p for a row paired with itself, and
+    raw squared distance."""
     # gathers from the column views beat indexing P by (cols, 0)
     x, y = P[:, 0], P[:, 1]
     dx = x[cols] - x[rows][slot]
@@ -1073,7 +1104,7 @@ def _cone_nearest(P, rows, slot, cols, spec: ConeSpec):
     heads = np.full(m * spec.p + 1, len(P))
     np.minimum.at(heads, g[at], cols[at])
     heads[heads == len(P)] = -1
-    return heads[:-1].reshape(m, spec.p), hd2[:-1].reshape(m, spec.p)
+    return heads[:-1].reshape(m, spec.p), hd2[:-1].reshape(m, spec.p), g, d2
 
 
 def _cone_reach(P, rows, spec: ConeSpec, box):
@@ -1262,25 +1293,33 @@ def _yao_blocks(P, spec: ConeSpec, tree, cuts, rows, heads, bound) -> np.ndarray
     return np.concatenate(out)
 
 
-def _settle(P, spec: ConeSpec, box, e, pend, slot, cols, seen, out):
-    """One search stage's step for the rows of the pending record ``pend``,
-    (rows, heads, bound) as ``_yao_blocks`` reads it: their winners among the
-    pairs (``rows[slot]``, ``cols``), which hold every point within distance
-    ``seen`` of each row in the points scaled by 2**-e, inf where they hold
-    every point. The horizon shrinks ``seen`` by a relative 1e-12, which
-    covers the rounding of both distances; ``box`` is the points' bounding
-    box. A cone an earlier stage settled (bound -inf) keeps its head; the
-    first stage passes heads -1 and bound inf, as scalars. Appends the arcs
-    of the rows whose every cone is settled to ``out`` and returns the
-    record of the others, with bound -inf where a cone is settled and the
-    winner's squared distance elsewhere."""
-    rows, heads, bound = pend
-    found, hd2 = _cone_nearest(P, rows, slot, cols, spec)
+def _horizon(seen, e):
+    """The squared horizon H of search radii ``seen`` in the points scaled
+    by 2**-e, inf where the search saw every point: ``seen`` shrunk by a
+    relative 1e-12, which covers the rounding of both distances, in input
+    units."""
     h = seen * (1.0 - 1e-12)
     H = np.ldexp(h, e) ** 2
     # a horizon that overflows or nears the subnormal range settles nothing;
     # an infinite one, where the pairs hold every point, stays
     H[~((h * h >= _TINY) & (H >= _TINY) & ((H < np.inf) | (h == np.inf)))] = 0.0
+    return H
+
+
+def _settle(P, spec: ConeSpec, box, e, pend, slot, cols, seen, out):
+    """One search stage's step for the rows of the pending record ``pend``,
+    (rows, heads, bound) as ``_yao_blocks`` reads it: their winners among the
+    pairs (``rows[slot]``, ``cols``), which hold every point within distance
+    ``seen`` of each row in the points scaled by 2**-e, inf where they hold
+    every point, whose horizon ``_horizon`` gives; ``box`` is the points'
+    bounding box. A cone an earlier stage settled (bound -inf) keeps its head; the
+    first stage passes heads -1 and bound inf, as scalars. Appends the arcs
+    of the rows whose every cone is settled to ``out`` and returns the
+    record of the others, with bound -inf where a cone is settled and the
+    winner's squared distance elsewhere."""
+    rows, heads, bound = pend
+    found, hd2 = _cone_nearest(P, rows, slot, cols, spec)[:2]
+    H = _horizon(seen, e)
     before = bound < 0.0
     heads = np.where(before, heads, found)
     empty = found < 0

@@ -1,20 +1,21 @@
 """Graph containers and the four proximity-graph builders.
 
 The fast disk-empty and lune-empty builders take their candidate pairs
-from a Delaunay triangulation at every input size, so the adversarial
-families here, and the property tests on small grid sets, all compare
-them against the quadratic reference builders, which share only the
+from a Delaunay triangulation at every input size, and from a cone
+search for the points it cannot vouch for, so the adversarial families
+here, and the property tests on small grid sets, all compare them
+against the quadratic reference builders, which share only the
 predicate expressions. The families aim at the places where rounding
 could cost a candidate: cocircular points, points Qhull drops as
 coplanar, clusters far below the bounding box's scale, flat input,
 coordinates many ulps from zero, and coordinates whose squares overflow
-or turn subnormal; and at the margins of the certificate that keeps
-Gabriel edges with no test: opposite vertices within ulps of an edge's
-diametral circle, points an ulp from an edge's end, and a
-near-cocircular quadruple that must switch it off. The property tests
-also draw from a dense integer grid, where the vertices opposite a
-Delaunay edge, tried first as witnesses, often lie exactly on the edge's
-circle. The Yao builder's exact scan is checked against an independent
+or turn subnormal; at each step of the cone search; and at the margins
+of the certificate that keeps Gabriel edges with no test: opposite
+vertices within ulps of an edge's diametral circle, points an ulp from
+an edge's end, and a near-cocircular quadruple that must switch it off.
+The property tests also draw from a dense integer grid, where the
+vertices opposite a Delaunay edge, tried first as witnesses, often lie
+exactly on the edge's circle. The Yao builder's exact scan is checked against an independent
 pure-python oracle on the same families, and its staged neighbor search
 against the exact scan on layouts large enough to need the search: ties,
 points on cone edges, deep clusters, rings and overflowing distances.
@@ -25,6 +26,7 @@ where a spy shows rows reaching it.
 import math
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -441,6 +443,33 @@ def adversarial_families():
         [np.random.default_rng(34).random((2000, 2)), 0.5 + 1e-3 * np.column_stack([np.cos(ang), np.sin(ang)])]
     )
 
+    # the cone search for points the triangulation cannot vouch for, at each
+    # of its steps: a ring, whose every point is flagged and scans all
+    # points; a cluster below Qhull's resolution in a corner of the bounding
+    # box, whose empty cones settle by their reach within the box; and a
+    # line of dense and sparse runs whose dense end takes the second query
+    ang = 2.0 * np.pi * np.arange(600) / 600.0
+    fams["ring-600"] = np.column_stack([np.cos(ang), np.sin(ang)])
+    g = np.random.default_rng(40)
+    fams["corner-cluster"] = np.vstack([g.random((200, 2)), 1e-10 * g.random((100, 2))])
+    x = np.concatenate([np.arange(40) * 1e-4, 0.01 + np.arange(1, 261)])
+    fams["collinear-dense-sparse"] = np.column_stack([x, np.full(300, 0.25)])
+
+    # seven points within 4e-7 among eight spread ones, from a random search:
+    # Qhull folds a triangle of the cluster over, and the incircle test of
+    # its edges passes from its own side, so only its orientation makes it
+    # a seed
+    fams["folded-triangle"] = np.array([
+        [0.07445166881200171, 0.04361686597315728], [0.5709710414892739, 0.5233705474307403],
+        [0.45404233718211046, 0.6980291195392561], [0.45404214303847124, 0.6980290587592656],
+        [0.4540421208753387, 0.6980290240644718], [0.7565716359887389, 0.7328822471044597],
+        [0.22042869963949252, 0.637402065443674], [0.45404201581254133, 0.6980289300578387],
+        [0.4540420160881501, 0.6980292101712335], [0.7877191926183319, 0.034515292108072804],
+        [0.9293100801339447, 0.8633964343239371], [0.45404196525270296, 0.6980290240328676],
+        [0.4540420000252816, 0.6980290762087044], [0.42876845478089415, 0.8880985411508135],
+        [0.41180529703747426, 0.30763247873879906],
+    ])
+
     return sorted(fams.items())
 
 
@@ -492,9 +521,17 @@ def ring_1000():
 
 def deep_square():
     # 2,000 points in a 1e-9 square plus 100 uniform points: below Qhull's
-    # resolution, so the square's candidates come from a re-triangulated hole
+    # resolution, so the square's points take their candidates from the cone
+    # search, and those near its edge scan every point
     rng = np.random.default_rng(0)
     return np.vstack([0.5 + 1e-9 * rng.random((2000, 2)), rng.random((100, 2))])
+
+
+def clusters_12():
+    # 12 clusters of 100 points in 1e-6 squares, each below Qhull's
+    # resolution, so that every point takes the cone search
+    rng = np.random.default_rng(5)
+    return np.vstack([c + 1e-6 * rng.random((100, 2)) for c in rng.random((12, 2))])
 
 
 def overflowing_300():
@@ -507,7 +544,9 @@ def underflowing_300():
 
 @pytest.mark.parametrize("build", [gabriel, rng_graph], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
-    "layout", [dense_square, ring_1000, deep_square, overflowing_300, underflowing_300], ids=lambda f: f.__name__
+    "layout",
+    [dense_square, ring_1000, deep_square, clusters_12, overflowing_300, underflowing_300],
+    ids=lambda f: f.__name__,
 )
 def test_builders_bounded_cost(layout, build):
     # a candidate search sized by the global point density goes quadratic
@@ -569,6 +608,109 @@ def test_certificate_spares_nearest_queries(query_rows):
     g = gabriel(pts)
     assert sum(query_rows) < 0.02 * delaunay_edge_count(pts)
     assert g == gabriel_naive(pts)
+
+
+def test_points_inside_a_seed_circle_are_searched(monkeypatch):
+    # Qhull errs only below its resolution, where nearly every point is a
+    # seed's vertex; a valid triangulation two edge flips away from Delaunay
+    # stands in for one that errs elsewhere. Its Gabriel edge (1, 5) is no
+    # edge of it, neither end is a seed's vertex, and 5 lies strictly inside
+    # a seed's circumcircle
+    P = np.array([
+        [0.55, 0.31], [0.48, 0.16], [0.63, 0.49], [0.85, 0.42], [0.83, 0.01], [0.17, 0.34],
+        [0.75, 0.44], [0.51, 0.04], [0.85, 0.19], [0.83, 0.03], [0.14, 0.23], [0.5, 0.09],
+    ])
+    T = np.array([
+        [10, 1, 0], [3, 6, 8], [6, 3, 2], [6, 2, 10], [2, 5, 10], [10, 0, 6], [6, 0, 8], [0, 11, 8],
+        [11, 0, 1], [11, 1, 10], [9, 4, 8], [11, 9, 8], [7, 11, 10], [9, 11, 7], [7, 4, 9],
+    ])
+    # the triangle across from each vertex, -1 on the hull
+    nb = np.array([
+        [8, 5, 9], [6, -1, 2], [-1, 3, 1], [4, 5, 2], [-1, 3, -1], [6, 3, 0], [7, 1, 5], [11, 6, 8],
+        [0, 9, 7], [0, 12, 8], [-1, 11, 14], [10, 7, 13], [9, -1, 13], [12, 14, 11], [10, 13, -1],
+    ])
+
+    def delaunay(X):
+        # X holds the rows of P, shifted, in the kd-tree's leaf order
+        at = {row: i for i, row in enumerate(map(tuple, X.tolist()))}
+        pos = np.array([at[row] for row in map(tuple, (P - P.min(axis=0)).tolist())])
+        return types.SimpleNamespace(simplices=pos[T], neighbors=nb)
+
+    monkeypatch.setattr(graphs, "Delaunay", delaunay)
+    pts = PointSet(P)
+    assert (1, 5) in edge_set(gabriel_naive(pts))
+    assert gabriel(pts) == gabriel_naive(pts)
+    assert rng_graph(pts) == rng_naive(pts)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["clusters-4x100", "corner-cluster", "near-right-triangles", "offset-1e8", "ring-center", "tiny-cluster", "uniform"],
+)
+def test_search_alone_covers_every_edge(name):
+    # run on every point with no triangulation, whose edges would cover most
+    # of its misses elsewhere, the cone search gives every edge of both
+    # references among its candidates
+    if name == "uniform":
+        pts = uniform_points(seed=26, n=1000)
+    else:
+        pts = PointSet(dict(adversarial_families())[name])
+    e, Q, tree = graphs._scaled_tree(pts.coords)
+    slack = graphs._ulp_slack(Q, math.ldexp(1.0, graphs._FLOOR_EXP - e))
+    cand = graphs._search_pairs(Q, tree, np.ones(pts.n, dtype=bool), slack)
+    pairs = set(map(tuple, np.sort(cand[:, :2], axis=1).tolist()))
+    assert edge_set(gabriel_naive(pts)) <= pairs
+    assert edge_set(rng_naive(pts)) <= pairs
+
+
+@pytest.fixture
+def search_steps(monkeypatch):
+    """Rows per step of the Gabriel/RNG cone search, keyed by the points each
+    row is paired with: one more than the step's nearest points, or n where
+    the step scans every point."""
+    steps = {}
+    cone_nearest = graphs._cone_nearest
+
+    def spy(P, rows, slot, cols, spec):
+        if spec is graphs._SEARCH:
+            k = len(cols) // len(rows)
+            steps[k] = steps.get(k, 0) + len(rows)
+        return cone_nearest(P, rows, slot, cols, spec)
+
+    monkeypatch.setattr(graphs, "_cone_nearest", spy)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "name, reached",
+    [("ring-600", (17, 65, 600)), ("corner-cluster", (17, 65, 300)), ("collinear-dense-sparse", (17, 65))],
+)
+def test_search_reaches_every_step(name, reached, search_steps):
+    # the first query, the second and the scan of every point each see rows
+    # on the families that aim at them, which the references check
+    gabriel(PointSet(dict(adversarial_families())[name]))
+    assert all(search_steps.get(k, 0) > 0 for k in reached)
+
+
+@pytest.mark.parametrize("seed, n", [(24, 600), (25, 2000)])
+def test_uniform_input_takes_no_search(seed, n, monkeypatch):
+    # the triangulation vouches for every point of uniform input, so the
+    # cone search sees no row and the certificate holds
+    rows = []
+    search = graphs._search_pairs
+
+    def spy(P, tree, flagged, slack):
+        rows.append(int(flagged.sum()))
+        return search(P, tree, flagged, slack)
+
+    monkeypatch.setattr(graphs, "_search_pairs", spy)
+    pts = uniform_points(seed=seed, n=n)
+    e, Q, tree = graphs._scaled_tree(pts.coords)
+    sure = graphs._candidate_pairs(Q, tree, math.ldexp(1.0, graphs._FLOOR_EXP - e), certify=True)[1]
+    assert sure is not None and sure.any()
+    gabriel(pts)
+    rng_graph(pts)
+    assert rows == []
 
 
 def test_fast_builders_match_references_uniform():
@@ -808,15 +950,15 @@ class TestYao:
         slot = np.repeat(rows, len(P))
         cols = np.tile(rows, len(P))
         with np.errstate(over="ignore"):
-            heads, hd2 = _cone_nearest(P, rows, slot, cols, spec)
+            heads, hd2 = _cone_nearest(P, rows, slot, cols, spec)[:2]
             shuffled = np.random.default_rng(0).permutation(len(cols))
             for order in (np.arange(cols.size)[::-1], shuffled):
-                got_heads, got_hd2 = _cone_nearest(P, rows, slot[order], cols[order], spec)
+                got_heads, got_hd2 = _cone_nearest(P, rows, slot[order], cols[order], spec)[:2]
                 assert np.array_equal(got_heads, heads)
                 assert np.array_equal(got_hd2, hd2)
             # repeated pairs change nothing
             twice = np.concatenate([shuffled, shuffled])
-            got_heads, got_hd2 = _cone_nearest(P, rows, slot[twice], cols[twice], spec)
+            got_heads, got_hd2 = _cone_nearest(P, rows, slot[twice], cols[twice], spec)[:2]
             assert np.array_equal(got_heads, heads)
             assert np.array_equal(got_hd2, hd2)
         assert heads[0].tolist() == [1, -1, 4, -1]
