@@ -319,6 +319,19 @@ NumPy's arctan2 may differ from ``math.atan2`` in the last bit. Within
 1e-12 p of a cone edge, in units of cones, the index comes from
 ``geom.cone_index`` itself, except on the axes and diagonals, where both
 return the same rounded multiple of pi/4.
+
+Working set. Every kernel decides each row or pair on its own, so batch
+sizes set only the cost. The pair kernels take batches of about
+``_CHUNK`` = 2**15 (row, point) pairs: Yao's two search stages, the
+steps of the cone search, and ``_full_test``'s nearest points and scans
+of every point. A join batch takes whole groups, so it passes ``_CHUNK``
+by at most one group. The per-edge triangulation tests, whose rows each
+hold a few dozen temporaries, take chunks of ``_CHUNK // 8`` rows. Their
+temporaries then stay within a few MB at any n, and the peak is set by
+arrays of a few words per point: the triangulation, the candidates and
+the arcs. The block scan keeps batches of ``_BLOCK`` = 2**18 pairs
+against its groups, as a smaller batch shrinks to a few rows where there
+are many groups, and so do the exact references.
 """
 
 from __future__ import annotations
@@ -358,12 +371,14 @@ _OVERFLOW_EXP = 510
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# blocks and chunks of every chunked scan hold about this many
-# (row, point) pairs
-_BLOCK = 2 ** 18
-
-# rows per chunk of the per-edge triangulation tests
+# (row, point) pairs per batch of a pair kernel; the per-edge triangulation
+# tests, whose rows hold a few dozen temporaries each, take an eighth as
+# many rows (module docstring, "Working set")
 _CHUNK = 2 ** 15
+
+# (row, point) pairs per batch of the block scan, whose rows a batch of
+# _CHUNK pairs would cut to a few, and of the exact references
+_BLOCK = 2 ** 18
 
 # the cone search's cones, centred on the axes as the bounding box's
 # edges are, and the nearest points of its first step
@@ -398,14 +413,26 @@ def _canonical(n, pairs, what, undirected):
     else:
         if e.min() < 0 or e.max() >= n:
             raise ParameterError(f"{what} endpoint out of range")
-        if (e[:, 0] == e[:, 1]).any():
+        u, v = e[:, 0], e[:, 1]
+        if (u == v).any():
             raise ParameterError("self loops are not allowed")
+        # rows sort in the order of their keys u * n + v, built and sorted
+        # in place; min(u, v) * n + max(u, v) is min(u, v) * (n - 1) + u + v
         if undirected:
-            e = np.sort(e, axis=1)
-        # rows sort in the order of their keys u * n + v
-        key = np.sort(e[:, 0] * n + e[:, 1])
-        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
-        e = np.column_stack([key // n, key % n])
+            key = np.minimum(u, v)
+            key *= n - 1
+            key += u
+        else:
+            key = u * n
+        key += v
+        key.sort()
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            key = key[first]
+        e = np.empty((len(key), 2), dtype=np.int64)
+        np.divmod(key, n, out=(e[:, 0], e[:, 1]))
     e.setflags(write=False)
     return n, e
 
@@ -564,10 +591,10 @@ def _all_pairs(n):
 
 def _scan_all(xy, u, v, mid, duv2, kind):
     """Whether each pair's region holds a point, tested against every point
-    in chunks of about ``_BLOCK`` (pair, point) tests; the arguments are
+    in chunks of about ``_CHUNK`` (pair, point) tests; the arguments are
     ``_inside``'s."""
     n = len(xy[0])
-    R = max(1, _BLOCK // n)
+    R = max(1, _CHUNK // n)
     wit = np.arange(n)
     dead = np.zeros(len(u), dtype=bool)
     for lo in range(0, len(u), R):
@@ -609,7 +636,7 @@ def _full_test(P, Q, tree, cand, kind, slack, sure=None):
     x, y = xy = P.T
     qx, qy = Q.T
     diag = np.hypot(*np.ptp(Q, axis=0))
-    B = _BLOCK // k
+    B = _CHUNK // k
     for lo in range(0, len(todo), B):
         at = todo[lo:lo + B]
         c = cand[at]
@@ -659,14 +686,15 @@ def _incircle(P, abc, d, slack):
     Returns (value, allowance): value > 0 when d lies inside the
     circumcircle; values within the allowance of zero count as
     cocircular. The allowance covers the relative tolerance and a
-    coordinate uncertainty of ``slack``. Rows go in chunks of ``_CHUNK``,
-    whose temporaries stay in cache."""
+    coordinate uncertainty of ``slack``. Rows go in chunks of ``_CHUNK //
+    8``, whose temporaries stay in cache."""
     m = len(d)
     x, y = P[:, 0], P[:, 1]
     value = np.empty(m)
     allowance = np.empty(m)
-    for lo in range(0, m, _CHUNK):
-        c = slice(lo, lo + _CHUNK)
+    step = _CHUNK // 8
+    for lo in range(0, m, step):
+        c = slice(lo, lo + step)
         dx = x[d[c]]
         dy = y[d[c]]
         ax = x[abc[c, 0]] - dx
@@ -709,16 +737,17 @@ def _circumradii(P, T):
 
 def _folded(P, T):
     """Which triangles T of P are not counterclockwise beyond the rounding
-    of their float orientation, in chunks of ``_CHUNK``."""
+    of their float orientation, in chunks of ``_CHUNK // 8``."""
     x, y = P[:, 0], P[:, 1]
     out = np.empty(len(T), dtype=bool)
-    for lo in range(0, len(T), _CHUNK):
-        t = T[lo:lo + _CHUNK]
+    step = _CHUNK // 8
+    for lo in range(0, len(T), step):
+        t = T[lo:lo + step]
         bx = x[t[:, 1]] - x[t[:, 0]]
         by = y[t[:, 1]] - y[t[:, 0]]
         cx = x[t[:, 2]] - x[t[:, 0]]
         cy = y[t[:, 2]] - y[t[:, 0]]
-        out[lo:lo + _CHUNK] = bx * cy - by * cx <= _CERT_REL * np.maximum(bx * bx + by * by, cx * cx + cy * cy)
+        out[lo:lo + step] = bx * cy - by * cx <= _CERT_REL * np.maximum(bx * bx + by * by, cx * cx + cy * cy)
     return out
 
 
@@ -743,8 +772,9 @@ def _certified(P, cand, shared, ins, tol, slack):
     if near2 < _CERT_TINY:
         return sure
     near2 *= 1.0 - _CERT_MARGIN
-    for lo in range(0, len(shared), _CHUNK):
-        rows = shared[lo:lo + _CHUNK]
+    step = _CHUNK // 8
+    for lo in range(0, len(shared), step):
+        rows = shared[lo:lo + step]
         ux = x[cand[rows, 0]]
         uy = y[cand[rows, 0]]
         vx = x[cand[rows, 1]]
@@ -809,7 +839,7 @@ def _search_pairs(P, tree, flagged, slack):
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(rows):
             full = 4 * m > n
-            B = max(1, _BLOCK // (n if full else m + 2))
+            B = max(1, _CHUNK // (n if full else m + 2))
             left = []
             for lo in range(0, len(rows), B):
                 r = rows[lo:lo + B]
@@ -1345,7 +1375,7 @@ def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k, out):
     ``_JOIN_LOAD * k * n`` points. Every row goes through ``_settle``, in
     leaf order, a row left out with no pairs and a horizon of 0; a batch
     takes groups until their pairs, or their rows where a group has fewer
-    pairs than rows, reach about ``_BLOCK``. Yields the pending record of
+    pairs than rows, reach ``_CHUNK``. Yields the pending record of
     each batch."""
     order = tree.indices
     first, stop, gfirst, gstop, blocks, groups = cuts
@@ -1372,7 +1402,7 @@ def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k, out):
         slots.append(rows[pairs["i"]] - at)
         cols.append(pairs["j"].copy())
         size += max(len(pairs), b - a)
-        if size < _BLOCK and b < tree.n:
+        if size < _CHUNK and b < tree.n:
             continue
         pend = (order[at:b], -1, np.inf)
         yield _settle(P, spec, box, e, pend, np.concatenate(slots), np.concatenate(cols), seen[at:b], out)
@@ -1393,7 +1423,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     box = np.concatenate([P.min(axis=0), P.max(axis=0)])
     k = 4 * spec.p + 16
     m = min(4 * k, len(P) - 1)
-    B = max(1, _BLOCK // (m + 2))
+    B = max(1, _CHUNK // (m + 2))
     out, left = [], []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rows, heads, bound = (np.concatenate(a) for a in zip(*_yao_join(P, Q, e, spec, tree, cuts, box, k, out)))

@@ -426,8 +426,9 @@ class TestStretch:
             stretch_details(g, pts)
 
     def test_peak_memory_is_linear_in_n(self):
-        # rows run in blocks of about 2**18 pairs, so the peak stays near
-        # a few such blocks; three n x n float64 arrays would be 206 MiB
+        # sources run in clusters of 24, whose arrays are 24 x n, so the
+        # peak stays far below n x n; three n x n float64 arrays would be
+        # 206 MiB
         n = 3000
         pts = uniform_points(seed=68, n=n)
         g = gabriel(pts)

@@ -1238,6 +1238,60 @@ class TestYao:
 
 
 # ---------------------------------------------------------------------------
+# working set of the builders
+
+
+def batch_layouts():
+    """Layouts that span several batches and chunks of the pair and row
+    kernels at their default sizes."""
+    rng = np.random.default_rng(40)
+    clusters = [c + 1e-3 * rng.random((100, 2)) for c in rng.random((16, 2))]
+    t = np.arange(1200) / 1200.0
+    return {
+        "uniform-6000": rng.random((6000, 2)),
+        "clusters-16x100-plus-2000": np.vstack(clusters + [rng.random((2000, 2))]),
+        "ring-500": ring(500),
+        "collinear-1200": np.column_stack([t, np.full(1200, 0.5)]),
+    }
+
+
+@pytest.mark.parametrize("name", list(batch_layouts()))
+def test_edges_do_not_depend_on_batch_size(name, monkeypatch):
+    # every kernel decides each row or pair on its own, so the batch and
+    # chunk sizes set only the cost. At 2**8 most batches hold one row
+    pts = PointSet(batch_layouts()[name])
+    builds = [gabriel, rng_graph, lambda q: yao(q, ConeSpec(4)), lambda q: yao(q, ConeSpec(8))]
+    want = [build(pts) for build in builds]
+    for size in (2 ** 8, 2 ** 20):
+        monkeypatch.setattr(graphs, "_CHUNK", size)
+        monkeypatch.setattr(graphs, "_BLOCK", size)
+        assert [build(pts) for build in builds] == want, size
+
+
+def traced_peak(build, pts):
+    tracemalloc.start()
+    try:
+        build(pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [lambda q: yao(q, ConeSpec(8)), gabriel], ids=["yao-8", "gabriel"])
+def test_peak_memory_is_linear_in_n(build):
+    # the pair and row kernels work in batches of a fixed size, so the peak
+    # is set by arrays that grow with n: 4.6-5.6 MiB at 10,000 uniform
+    # points, 330-590 bytes per point at both sizes. Batches of 2**18 pairs
+    # and more, each with about ten pair-sized temporaries, took Yao p=8 to
+    # 21.6 MiB at 10,000 points, 2,270 bytes per point there against 450 at
+    # 100,000, and gabriel's row chunks took it to 10.3 MiB
+    small = traced_peak(build, uniform_points(seed=61, n=10 ** 4))
+    large = traced_peak(build, uniform_points(seed=61, n=10 ** 5))
+    assert small < 8e6
+    assert 0.6 < (large / 10) / small < 1.25
+
+
+# ---------------------------------------------------------------------------
 # threshold graph
 
 
