@@ -214,8 +214,15 @@ dot product above 1e-12 L**2; the tangents are bounded above from the
 float dot and cross products with that error; and the shortest edge,
 squared, times 1 - 1e-9, exceeds rho**2 times 1 + 1e-9, margins that
 cover the rounding of these bounds. Hull edges and pairs from the search
-are never certified, nor is any pair where the precondition fails. ``rng_graph`` certifies nothing: the lune does not
-lie inside the two circumdisks.
+are never certified, nor is any pair where the precondition fails.
+
+``rng_graph`` certifies nothing. Its lune does not lie inside the two
+circumdisks in general, but each half, the lune's part on one side of
+the edge, does lie inside the closed circumdisk on that side when the
+angle opposite the edge on that side is below 60 degrees: every point of
+the half sees the edge at 60 degrees or more, and the circumdisk holds
+every point on that side that sees it at more than the opposite angle.
+No rule uses this yet; its rounding argument is unwritten.
 
 Yao. ``yao`` takes one path at every size, visiting points in the
 kd-tree's leaf order. The tree indexes the points scaled by a power of
@@ -392,10 +399,14 @@ _NEAREST = {GABRIEL: 3, RNG: 4}
 
 
 def _canonical(n, pairs, what, undirected):
-    """Validate a vertex count and an (m, 2) array of vertex pairs, and
-    return both canonical: a read-only int64 array of distinct pairs in
-    lexicographic order, each with u < v when ``undirected``."""
+    """Validate a vertex count, at most 3,037,000,499, and an (m, 2) array
+    of vertex pairs, and return both canonical: a read-only int64 array of
+    distinct pairs in lexicographic order, each with u < v when
+    ``undirected``."""
     n = check_int("vertex count", n, 0)
+    # pairs key as u * n + v in int64, so n * n - 1 must fit
+    if n * n > 2 ** 63:
+        raise ParameterError(f"vertex count {n} over 3037000499: pair keys overflow int64")
     e = pairs
     if not (isinstance(e, np.ndarray) and e.dtype.kind in "iu"):
         e = np.asarray([] if e is None else e, dtype=object)

@@ -65,6 +65,10 @@ def edge_set(g):
     return {(int(u), int(v)) for u, v in g.edges}
 
 
+# the most vertices whose pair keys u * n + v fit in int64
+MAX_N = 3_037_000_499
+
+
 # ---------------------------------------------------------------------------
 # containers
 
@@ -142,6 +146,18 @@ class TestGraph:
         with pytest.raises(ParameterError):
             Graph(n, edges)
 
+    def test_largest_vertex_count(self):
+        g = Graph(MAX_N, [(MAX_N - 1, MAX_N - 2), (2, 1), (MAX_N - 1, 0)])
+        assert g.edges.tolist() == [[0, MAX_N - 1], [1, 2], [MAX_N - 2, MAX_N - 1]]
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 4_000_000_000, 2**40])
+    def test_vertex_count_whose_keys_overflow(self, n):
+        # keys u * n + v once wrapped here and gave negative endpoints
+        with pytest.raises(ParameterError):
+            Graph(n, [(n - 1, n - 2), (1, 2)])
+        with pytest.raises(ParameterError):
+            Graph(n)
+
     @pytest.mark.parametrize("int_type", [np.int64, np.int32])
     def test_numpy_ints(self, int_type):
         g = Graph(int_type(3), [(int_type(2), 0)])
@@ -172,6 +188,12 @@ class TestDiGraph:
             DiGraph(2, [(0, 0)])
         with pytest.raises(ParameterError):
             DiGraph(-2)
+
+    def test_largest_vertex_count(self):
+        d = DiGraph(MAX_N, [(MAX_N - 1, MAX_N - 2), (MAX_N - 2, MAX_N - 1), (1, 0)])
+        assert d.edges.tolist() == [[1, 0], [MAX_N - 2, MAX_N - 1], [MAX_N - 1, MAX_N - 2]]
+        with pytest.raises(ParameterError):
+            DiGraph(MAX_N + 1, [(MAX_N, MAX_N - 1)])
 
 
 class TestUndirectedView:
@@ -211,6 +233,12 @@ class TestIntersect:
     def test_vertex_count_mismatch(self):
         with pytest.raises(ParameterError):
             intersect(Graph(3), Graph(4))
+
+    def test_largest_vertex_count(self):
+        top = (MAX_N - 2, MAX_N - 1)
+        a = Graph(MAX_N, [top, (0, MAX_N - 1), (1, 2)])
+        b = DiGraph(MAX_N, [top[::-1], (2, 1), (0, 1)])
+        assert intersect(a, b).edges.tolist() == [[1, 2], list(top)]
 
 
 # ---------------------------------------------------------------------------

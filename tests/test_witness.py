@@ -6,6 +6,8 @@ exercised exactly, without epsilon slack.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from proxdeg import (
     undirected_view,
     yao,
 )
+from proxdeg import witness
+from scipy.spatial import cKDTree
 
 from conftest import uniform_points
 
@@ -542,10 +546,10 @@ def staircase_reference(center, P, spec):
     return all(any(col) for col in zip(*memb)) and all(sum(row) == 1 for row in memb)
 
 
-def detector_hits(pts, c, find):
+def detector_hits(pts, c, find, reference=True):
     """What ``find`` must return: the census candidates at which the
-    per-point detector holds. At every candidate the detector is also
-    checked against the written-out definition."""
+    per-point detector holds. With ``reference``, the detector is also
+    checked against the written-out definition at every candidate."""
     P = pts.coords
     x = P[:, 0]
     y = P[:, 1]
@@ -553,16 +557,16 @@ def detector_hits(pts, c, find):
         spec = PearlSpec(*jewel_scale(pts.n, c))
         clear = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
         cand = np.flatnonzero(clear >= 2.0 * spec.r)
-        detect, reference = is_tiara, tiara_reference
+        detect, check = is_tiara, tiara_reference
     else:
         spec = StaircaseSpec(*staircase_scale(pts.n, c))
         r = spec.r
         cand = np.flatnonzero((x >= r) & (x <= 1.0 - r) & (y >= r) & (y <= 1.0 - r))
-        detect, reference = is_staircase, staircase_reference
+        detect, check = is_staircase, staircase_reference
     hits = []
     for i in cand.tolist():
         got = detect(tuple(P[i]), pts, spec)
-        assert got == reference(tuple(P[i]), P, spec), i
+        assert not reference or got == check(tuple(P[i]), P, spec), i
         if got:
             hits.append(i)
     return hits
@@ -668,6 +672,22 @@ STAIRCASE_CASES = [
 ]
 
 
+def lattice_pairs():
+    """n = 2048 and c = 0.3 give one step, the square [0, r]^2 with
+    r = 1/32. 81 pairs on a lattice of spacing 3r put each partner, and
+    some partners of neighbouring pairs, at L-infinity distance exactly r;
+    1,886 fillers sit outside the unit square."""
+    r = 1.0 / 32.0
+    offsets = [(r, r), (r, 0.0), (0.0, r), (r / 2, r), (-r, r), (r, -r / 2)]
+    g = 3.0 * r * np.arange(1, 10)
+    rows = []
+    for j, (x, y) in enumerate((x, y) for y in g for x in g):
+        dx, dy = offsets[j % len(offsets)]
+        rows += [(x, y), (x + dx, y + dy)]
+    fill = 3.0 + np.random.default_rng(69).random((2048 - len(rows), 2))
+    return PointSet(np.vstack([rows, fill]))
+
+
 class TestCensusEdgeCases:
     def test_ring_boundaries_match_detector(self):
         pts, centres = plant_cases(2000, [case for case, _ in RING_CASES], JEWEL.R)
@@ -682,23 +702,10 @@ class TestCensusEdgeCases:
         assert [i in found for i in centres] == [hit for _, hit in STAIRCASE_CASES]
 
     def test_lattice_ties_at_the_radius(self):
-        # n = 2048 and c = 0.3 give one step, the square [0, r]^2 with
-        # r = 1/32. Pairs on a lattice of spacing 3r put each partner, and
-        # some partners of neighbouring pairs, at L-infinity distance
-        # exactly r; 1,886 fillers sit outside the unit square.
-        r = 1.0 / 32.0
-        offsets = [(r, r), (r, 0.0), (0.0, r), (r / 2, r), (-r, r), (r, -r / 2)]
-        g = 3.0 * r * np.arange(1, 10)
-        base = [(x, y) for y in g for x in g]
-        rows = []
-        for j, (x, y) in enumerate(base):
-            dx, dy = offsets[j % len(offsets)]
-            rows += [(x, y), (x + dx, y + dy)]
-        fill = 3.0 + np.random.default_rng(69).random((2048 - len(rows), 2))
-        pts = PointSet(np.vstack([rows, fill]))
+        pts = lattice_pairs()
         found = find_staircases(pts, 0.3).tolist()
         assert found == detector_hits(pts, 0.3, find_staircases)
-        assert 20 <= len(found) < len(base)
+        assert 20 <= len(found) < 81
 
     @pytest.mark.parametrize("find, make, spec_of", [
         (find_jewels, make_tiara, lambda n, c: PearlSpec(*jewel_scale(n, c))),
@@ -715,6 +722,178 @@ class TestCensusEdgeCases:
         centre = (0.5, 0.5) if find is find_jewels else (0.4, 0.4)
         pts = PointSet(np.vstack([[centre], make(spec, centre).coords]))
         assert find(pts, 7.0).tolist() == [0] == detector_hits(pts, 7.0, find)
+
+
+# ---------------------------------------------------------------------------
+# census paths: the tiled join and the k + 2 nearest fallback
+
+
+def snapped(seed, n, h):
+    """n distinct uniform points on the grid of spacing h."""
+    q = np.round(np.random.default_rng(seed).random((4 * n, 2)) / h) * h
+    q = q[np.sort(np.unique(q, axis=0, return_index=True)[1])]
+    return q[:n]
+
+
+def planted(seed, n, c, make, spec_of):
+    """n points: 12 witnesses ``make`` at scale c, uniform fillers at
+    L-infinity distance over 1.5 radii from every centre, so some fillers
+    land near the witnesses' balls and break a few."""
+    spec = spec_of(n, c)
+    reach = spec.R if isinstance(spec, PearlSpec) else spec.r
+    rng = np.random.default_rng(seed)
+    centres = 0.15 + 0.7 * rng.random((12, 2))
+    rows = []
+    for centre in centres.tolist():
+        rows += [centre] + make(spec, centre).coords.tolist()
+    q = rng.random((2 * n, 2))
+    far = np.abs(q[:, None, :] - centres[None, :, :]).max(axis=2).min(axis=1) > 1.5 * reach
+    return np.vstack([rows, q[far][: n - len(rows)]])
+
+
+def dense_cluster(seed, n):
+    """Three quarters of n points in a square of side 1e-9, the rest
+    uniform: the join would pair the cluster with itself."""
+    rng = np.random.default_rng(seed)
+    m = 3 * n // 4
+    return np.vstack([0.5 + 1e-9 * rng.random((m, 2)), rng.random((n - m, 2))])
+
+
+def jewel_spec(n, c):
+    return PearlSpec(*jewel_scale(n, c))
+
+
+def stair_spec(n, c):
+    return StaircaseSpec(*staircase_scale(n, c))
+
+
+# name -> (points of a seed, c); at n = 2048 the staircase radius is
+# 1/32, so the grids of spacing 1/256 and 1/1024 put points exactly on
+# the ball's boundary and on step bounds (for k = 4 at c = 1.1)
+CENSUS_FAMILIES = {
+    "uniform": (lambda s: uniform_points(seed=s, n=2048).coords, 1.0),
+    "uniform-c0.5": (lambda s: uniform_points(seed=s, n=2048).coords, 0.5),
+    "squared": (lambda s: uniform_points(seed=s, n=2048).coords ** 2, 0.5),
+    "grid-1/8": (lambda s: snapped(s, 2048, 2.0 ** -8), 0.5),
+    "grid-1/32": (lambda s: snapped(s, 2048, 2.0 ** -10), 1.1),
+    **{
+        f"{what}-c{c}": (lambda s, c=c, make=make, spec_of=spec_of:
+                         planted(s, 2048, c, make, spec_of), c)
+        for c in (0.5, 1.0, 2.0)
+        for what, make, spec_of in [("ring", make_tiara, jewel_spec),
+                                    ("staircase", make_staircase, stair_spec)]
+    },
+}
+
+
+class TreeSpy(cKDTree):
+    """The census's kd-tree, recording the searches it serves."""
+
+    calls = []
+
+    def query_pairs(self, *args, **kwargs):
+        TreeSpy.calls.append("join")
+        return super().query_pairs(*args, **kwargs)
+
+    def query(self, *args, **kwargs):
+        TreeSpy.calls.append("nearest")
+        return super().query(*args, **kwargs)
+
+
+@pytest.fixture
+def tree_spy(monkeypatch):
+    TreeSpy.calls = []
+    monkeypatch.setattr(witness, "cKDTree", TreeSpy)
+    return TreeSpy.calls
+
+
+FINDS = pytest.mark.parametrize("find", [find_jewels, find_staircases], ids=["jewels", "staircases"])
+
+
+class TestCensusPaths:
+    @FINDS
+    @pytest.mark.parametrize("seed", [81, 82])
+    @pytest.mark.parametrize("family", list(CENSUS_FAMILIES))
+    def test_join_matches_detector(self, family, seed, find, tree_spy):
+        make, c = CENSUS_FAMILIES[family]
+        pts = PointSet(make(seed))
+        found = find(pts, c).tolist()
+        assert set(tree_spy) == {"join"}
+        assert found == detector_hits(pts, c, find, reference=False)
+
+    @FINDS
+    @pytest.mark.parametrize("family", ["uniform", "grid-1/32", "ring-c1.0", "staircase-c0.5"])
+    def test_small_tiles_match_detector(self, family, find, tree_spy, monkeypatch):
+        # a tile budget of 2 * 2**9 cuts the join into dozens of tiles of a
+        # few cells each; the hits stay those of the detector
+        make, c = CENSUS_FAMILIES[family]
+        pts = PointSet(make(83))
+        monkeypatch.setattr(witness, "_CHUNK", 2 ** 9)
+        found = find(pts, c).tolist()
+        assert len(tree_spy) >= 3 and set(tree_spy) == {"join"}
+        assert found == detector_hits(pts, c, find, reference=False)
+
+    @FINDS
+    @pytest.mark.parametrize("seed", [84, 85])
+    def test_dense_cluster_takes_the_nearest_query(self, seed, find, tree_spy):
+        pts = PointSet(dense_cluster(seed, 2048))
+        found = find(pts).tolist()
+        assert tree_spy == ["nearest"]
+        assert found == detector_hits(pts, 1.0, find, reference=False)
+
+    @FINDS
+    def test_dense_cell_takes_the_nearest_query(self, find, tree_spy):
+        # 300 points in one cell bound it by 90,000 pairs, over a tile's
+        # budget of 2 * 2**15, though the whole join is under the cap of
+        # 128 pairs per point
+        rng = np.random.default_rng(86)
+        P = np.vstack([0.5 + 1e-6 * rng.random((300, 2)), rng.random((1748, 2))])
+        pts = PointSet(P)
+        found = find(pts).tolist()
+        assert tree_spy == ["nearest"]
+        assert found == detector_hits(pts, 1.0, find, reference=False)
+
+    @pytest.mark.parametrize("layout", [
+        pytest.param(lambda: (plant_cases(2000, [case for case, _ in RING_CASES], JEWEL.R)[0],
+                              1.0, find_jewels), id="ring-cases"),
+        pytest.param(lambda: (plant_cases(2048, [case for case, _ in STAIRCASE_CASES], STAIR.r)[0],
+                              1.1, find_staircases), id="step-cases"),
+        pytest.param(lambda: (lattice_pairs(), 0.3, find_staircases), id="lattice-ties"),
+        pytest.param(lambda: (planted_census_set(make_tiara, JEWEL_SPEC_2000, JEWEL_SPEC_2000.R)[0],
+                              1.0, find_jewels), id="planted-rings"),
+        pytest.param(lambda: (planted_census_set(make_staircase, STAIRCASE_SPEC_2000,
+                                                 STAIRCASE_SPEC_2000.r)[0],
+                              1.0, find_staircases), id="planted-staircases"),
+    ])
+    def test_nearest_query_matches_join(self, layout, tree_spy, monkeypatch):
+        # the edge cases above, each checked there against the detector on
+        # the join, give the same hits when a cap of 0 forces the k + 2
+        # nearest query and its 1e-9 margins
+        pts, c, find = layout()
+        joined = find(pts, c).tolist()
+        assert set(tree_spy) == {"join"}
+        monkeypatch.setattr(witness, "_JOIN_CAP", 0)
+        tree_spy.clear()
+        assert find(pts, c).tolist() == joined
+        assert tree_spy == ["nearest"]
+        assert joined
+
+    @FINDS
+    def test_dense_cluster_bounded_cost(self, find):
+        # joined, the 30,000-point cluster alone would give 4.5e8 pairs
+        # (7 GB); the nearest query takes 0.06-0.07 s and 6.5-7 MB traced
+        pts = PointSet(dense_cluster(87, 40_000))
+        t0 = time.perf_counter()
+        find(pts)
+        elapsed = time.perf_counter() - t0
+        tracemalloc.start()
+        try:
+            find(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 40e6
 
 
 # ---------------------------------------------------------------------------
