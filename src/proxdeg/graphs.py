@@ -226,20 +226,23 @@ No rule uses this yet; its rounding argument is unwritten.
 
 Yao. ``yao`` takes one path at every size, visiting points in the
 kd-tree's leaf order. The tree indexes the points scaled by a power of
-two, Q, and two search stages give each point every point within some
-distance of it in Q, its search radius. The first is a fixed-radius join
-per group of the tree (defined below): the group takes the radius r at
-which a disk holds k = 4p + 16 points at the group's density, its point
-count over the area of its box, and a kd-tree over the group's points
-pairs each with every point whose float distance is at most r. That
-distance is off by a few ulps, so every point within r (1 - 1e-12) is
-paired. The points the join leaves open, and those it leaves out
-(below), pair with their 4k nearest points, capped at n - 1, and their
-search radius is the next nearest point's distance: inf where there is
-none, as the stage has then seen every point. Every scan takes one winner
+two, Q, and the search gives each point every point within some distance
+of it in Q, its search radius. A group of the tree (defined below) takes
+the radius r at which a disk holds k = 4p + 16 points at the group's
+density, its point count over the area of its box. The first stage joins
+each point at its group's r, and the second each point the first leaves
+open at 2r, whose disk holds about the 4k points a nearest-point query
+would take. A join pairs a point with every point whose float distance
+is at most its radius, one kd-tree over a run of points of one radius
+against the tree; that distance is off by a few ulps, so every point
+within the radius times 1 - 1e-12 is paired, and the radius is the
+point's search radius. The points the guard (below) refuses pair with
+their 4k nearest points instead, capped at n - 1, and their search
+radius is the next nearest point's distance: inf where there is none,
+as the query has then seen every point. Every scan takes one winner
 rule: the least raw squared distance in the cone, then the least index,
 which covers exact ties and cones whose points all lie at infinite
-distance alike. Both stages settle a point's cones in one step; a cone
+distance alike. Each stage settles a point's cones in one step; a cone
 settled stays settled with its winner, a point whose every cone is
 settled is done, and the others go on. A cone is settled by:
 
@@ -259,16 +262,22 @@ settled is done, and the others go on. A cone is settled by:
 A group's radius follows its mean density, so a group that spans a dense
 cluster and the sparse points around it, or a far outlier, would pair
 its points with most points: quadratic time and memory. A guard bounds
-the join. Before it, one ball query counts for each block the points
-within its box's half diagonal plus r of the box's centre, a ball that
-holds every point within r of the block's points; a block whose count
-exceeds 8k leaves its points out, so the join pairs at most 8kn points.
-A point left out, by the guard or by a group whose box has no area,
-takes the join's step with no pairs and a horizon of 0, which settles
-nothing. The guard sets only the cost: a point it sends on is settled by
-the next stage's horizon like any other.
+both joins. One ball query per block counts the points within the half
+diagonal of the box of the block's points in the stage, plus the radius,
+of the box's centre: a ball that holds every point within the radius of
+each of them. Where that count exceeds 8k, each of the block's points
+counts its own ball. A point whose ball holds more than 8k points, or
+whose group's box has no area, is refused: it skips the joins and takes
+the nearest-point query. So a join pairs at most 8k points per point,
+twice what the query takes. A point refused at r is not tried at 2r,
+whose ball holds its ball at r. On a set of at most 8k points the query
+takes half the points or more, and its horizon settles points that a
+ball of about 4k points leaves to the block scan, so there every point
+the first stage leaves open takes the query. The guard sets only the
+cost: a point it refuses is settled by the query's horizon like any
+other.
 
-A point with a cone left open after both stages scans only the blocks
+A point with a cone left open after the search scans only the blocks
 that can hold that cone's winner. Blocks are the tree's largest subtrees
 of at most 32 points, and groups its largest of at most max(sqrt(8n),
 32), or a leaf not yet in a group, so that every block lies in a group.
@@ -329,21 +338,26 @@ return the same rounded multiple of pi/4.
 
 Working set. Every kernel decides each row or pair on its own, so batch
 sizes set only the cost. The pair kernels take batches of about
-``_CHUNK`` = 2**15 (row, point) pairs: Yao's two search stages, the
-steps of the cone search, and ``_full_test``'s nearest points and scans
-of every point. A join batch takes whole groups, so it passes ``_CHUNK``
-by at most one group. The per-edge triangulation tests, whose rows each
-hold a few dozen temporaries, take chunks of ``_CHUNK // 8`` rows. Their
-temporaries then stay within a few MB at any n, and the peak is set by
-arrays of a few words per point: the triangulation, the candidates and
-the arcs. The block scan keeps batches of ``_BLOCK`` = 2**18 pairs
-against its groups, as a smaller batch shrinks to a few rows where there
-are many groups, and so do the exact references.
+``_CHUNK`` = 2**15 (row, point) pairs: Yao's search stages, the steps of
+the cone search, and ``_full_test``'s nearest points and scans of every
+point. A join takes its points in runs of one radius: at r a whole
+group, and at 2r at most ``_CHUNK`` // 4k points, about ``_CHUNK`` pairs
+at the density 2r is sized for and at most 2 ``_CHUNK`` under the guard.
+A batch takes runs until their pairs reach ``_CHUNK``, so it passes
+``_CHUNK`` by at most one run. The per-edge triangulation
+tests, whose rows each hold a few dozen temporaries, take chunks of
+``_CHUNK // 8`` rows. Their temporaries then stay within a few MB at any
+n, and the peak is set by arrays of a few words per point: the
+triangulation, the candidates and the arcs. The block scan keeps batches
+of ``_BLOCK`` = 2**18 pairs against its groups, as a smaller batch
+shrinks to a few rows where there are many groups, and so do the exact
+references.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -1091,8 +1105,9 @@ _TINY = 2.0 ** -960
 # most points in a block of the exact scan
 _LEAF = 32
 
-# most points a block's ball may hold in the first search stage, in units
-# of the points it is sized for, before the block's rows skip it
+# most points a join may pair with a row, in units of the k points the
+# first stage's radius is sized for; the guard refuses a row whose ball
+# holds more
 _JOIN_LOAD = 8
 
 
@@ -1172,6 +1187,7 @@ def _cone_reach(P, rows, spec: ConeSpec, box):
     return np.maximum(ends, np.where(meets, cd2, 0.0).max(axis=1)).T
 
 
+@lru_cache(maxsize=16)
 def _cone_lines(spec: ConeSpec):
     """(weights, axes) for ``_box_cones``. The weights (5, 5p) give, from a
     box's corner offsets (lo_x, lo_y, hi_x, hi_y) minus the row point and a
@@ -1182,7 +1198,7 @@ def _cone_lines(spec: ConeSpec):
     narrowed cone on its negative side. The greatest dot product takes, per
     axis, the end the normal points to. ``axes`` (p, 4) marks the cones of
     the directions +x, -x, +y and -y, as ``_cones`` gives them for either
-    sign of the zero difference."""
+    sign of the zero difference. Each spec's pair is cached, read-only."""
     start = spec.offset + spec.theta * np.arange(spec.p)
     lo, hi = start - _WIDEN, start + spec.theta + _WIDEN
     nlo, nhi = start + _WIDEN, start + spec.theta - _WIDEN
@@ -1198,6 +1214,8 @@ def _cone_lines(spec: ConeSpec):
     dy = np.array(zero + zero + [1.0, 1.0, -1.0, -1.0])
     axes = np.zeros((spec.p, 4), dtype=bool)
     axes[_cones(dx, dy, spec), np.repeat(np.arange(4), 2)] = True
+    weights.setflags(write=False)
+    axes.setflags(write=False)
     return weights, axes
 
 
@@ -1374,81 +1392,129 @@ def _settle(P, spec: ConeSpec, box, e, pend, slot, cols, seen, out):
     return rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]
 
 
-def _yao_join(P, Q, e, spec: ConeSpec, tree, cuts, box, k, out):
-    """First search stage: a fixed-radius join per group of ``cuts``.
+def _ball_load(tree, lo, hi, r):
+    """Points of ``tree`` within half the diagonal of each box [lo, hi],
+    coordinates first, plus ``r`` of the box's centre: a ball that holds
+    every point within r of each point of the box. A point is a box of its
+    own, with no diagonal."""
+    half = 0.5 * np.hypot(hi[0] - lo[0], hi[1] - lo[1])
+    return tree.query_ball_point((0.5 * (lo + hi)).T, half + r, return_length=True)
 
-    Group g takes the radius r at which a disk holds ``k`` points at the
-    group's density, its point count over the area of its box in Q. Every
-    point within r of a row is paired with it; one kd-tree over the group's
-    rows finds them all. A block whose ball (its box's half diagonal plus
-    r, around its centre) holds more than ``_JOIN_LOAD * k`` points leaves
-    its rows out, as does a group with r zero, so the join pairs at most
-    ``_JOIN_LOAD * k * n`` points. Every row goes through ``_settle``, in
-    leaf order, a row left out with no pairs and a horizon of 0; a batch
-    takes groups until their pairs, or their rows where a group has fewer
-    pairs than rows, reach ``_CHUNK``. Yields the pending record of
-    each batch."""
-    order = tree.indices
-    first, stop, gfirst, gstop, blocks, groups = cuts
-    # ldexp is monotone, so these are the boxes of Q
-    lo, hi = np.ldexp(blocks, -e).reshape(2, 2, -1)
-    side = np.ldexp(groups[2:], -e) - np.ldexp(groups[:2], -e)
-    start, end = first[gfirst], stop[gstop - 1]
-    radius = np.sqrt(k * side[0] * side[1] / (math.pi * (end - start)))
-    r = np.repeat(radius, gstop - gfirst)
-    join = r > 0.0
-    # the pair-count guard: a block's ball holds every point within r of
-    # each of its rows
-    half = 0.5 * np.hypot(hi[0, join] - lo[0, join], hi[1, join] - lo[1, join])
-    load = tree.query_ball_point(0.5 * (lo[:, join] + hi[:, join]).T, half + r[join], return_length=True)
-    join[join] = load <= _JOIN_LOAD * k
-    # each row's search radius, in leaf order; 0 where it is left out
-    seen = np.repeat(np.where(join, r, 0.0), stop - first)
-    slots, cols, at, size = [], [], 0, 0
-    for a, b, rad in zip(start, end, radius):
-        rows = a + np.flatnonzero(seen[a:b])
-        pairs = cKDTree(Q[order[rows]]).sparse_distance_matrix(tree, rad, output_type="ndarray")
-        # copied out, so that each group's records are freed at once:
-        # keeping a batch of them raised the peak resident size by 6-8%
-        slots.append(rows[pairs["i"]] - at)
-        cols.append(pairs["j"].copy())
-        size += max(len(pairs), b - a)
-        if size < _CHUNK and b < tree.n:
-            continue
-        pend = (order[at:b], -1, np.inf)
-        yield _settle(P, spec, box, e, pend, np.concatenate(slots), np.concatenate(cols), seen[at:b], out)
-        slots, cols, at, size = [], [], b, 0
+
+def _join_guard(tree, X, head, seen, cap):
+    """Which rows, coordinates ``X`` (first) in leaf order, a join at radius
+    ``seen`` can take: those whose ball holds at most ``cap`` points, where
+    ``seen`` is positive. ``head`` holds the first row of each block's
+    rows. One ball around the box of a block's rows counts for all of them;
+    the rows of a block whose count exceeds ``cap`` take balls of their
+    own."""
+    lo, hi = np.minimum.reduceat(X, head, axis=1), np.maximum.reduceat(X, head, axis=1)
+    load = np.repeat(_ball_load(tree, lo, hi, seen[head]), np.diff(np.append(head, len(seen))))
+    over = load > cap
+    load[over] = _ball_load(tree, X[:, over], X[:, over], seen[over])
+    return (seen > 0.0) & (load <= cap)
+
+
+def _yao_join(P, Q, e, spec: ConeSpec, tree, box, pend, seen, size, out):
+    """A search stage of fixed-radius joins.
+
+    The rows of the pending record ``pend``, in leaf order, pair with every
+    point within their search radius ``seen`` in Q. Rows of one radius go
+    in runs of at most ``size``, and one kd-tree over a run's rows finds its
+    pairs. A batch takes runs until their pairs, or their rows where a run
+    has fewer pairs than rows, reach ``_CHUNK``, and goes through
+    ``_settle``. Returns the pending record of the rows left open."""
+    rows, heads, bound = pend
+    left, slots, cols, at, pairs = [], [], [], 0, 0
+    cut = np.flatnonzero(np.diff(seen)) + 1
+    for a0, b0 in zip(chain([0], cut), chain(cut, [len(rows)])):
+        for a in range(a0, b0, size):
+            b = min(a + size, b0)
+            found = cKDTree(Q[rows[a:b]]).sparse_distance_matrix(tree, seen[a], output_type="ndarray")
+            # copied out, so that each run's records are freed at once:
+            # keeping a batch of them raised the peak resident size by 6-8%
+            slots.append(found["i"] + (a - at))
+            cols.append(found["j"].copy())
+            pairs += max(len(found), b - a)
+            if pairs < _CHUNK and b < len(rows):
+                continue
+            batch = (rows[at:b], heads[at:b], bound[at:b])
+            left.append(_settle(P, spec, box, e, batch, np.concatenate(slots), np.concatenate(cols), seen[at:b], out))
+            slots, cols, at, pairs = [], [], b, 0
+    return tuple(np.concatenate(a) for a in zip(*left)) if left else pend
 
 
 def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     """Staged search, then a scan of nearby blocks for the rows it leaves.
 
-    Rows go in kd-tree leaf order, and both search stages settle them with
-    ``_settle``. The first stage is a fixed-radius join sized for k = 4p +
-    16 points per row (``_yao_join``); the rows it leaves pair with their 4k
-    nearest points, capped at n - 1, and take the next nearest point's
-    distance as the horizon: inf where there is none, as the stage has then
-    seen every point. The rows with a cone left open go to ``_yao_blocks``."""
+    Rows go in kd-tree leaf order. A group's radius r is the one at which a
+    disk holds k = 4p + 16 points at its density, its point count over the
+    area of its box in Q. The first stage joins each row at r and the
+    second each row the first leaves open at 2r (``_yao_join``), where
+    ``_join_guard`` finds the row's ball holds at most ``_JOIN_LOAD * k``
+    points, and the set holds more. The rows it refuses, among them those
+    of groups with r zero, pair with their 4k nearest points, capped at
+    n - 1, and take the next nearest point's distance as the horizon: inf
+    where there is none, as the query has then seen every point. All three
+    settle rows with ``_settle``; the rows with a cone left open go to
+    ``_yao_blocks``."""
     e, Q, tree = _scaled_tree(P)
     cuts = _leaf_cuts(P, tree)
+    first, stop, gfirst, gstop, _, groups = cuts
+    order = tree.indices
+    n = len(P)
     box = np.concatenate([P.min(axis=0), P.max(axis=0)])
     k = 4 * spec.p + 16
-    m = min(4 * k, len(P) - 1)
-    B = max(1, _CHUNK // (m + 2))
-    out, left = [], []
+    cap = _JOIN_LOAD * k
+    # each group's radius; ldexp is monotone, so the groups' boxes scaled
+    # are those of Q
+    side = np.ldexp(groups[2:], -e) - np.ldexp(groups[:2], -e)
+    start = first[gfirst]
+    count = stop[gstop - 1] - start
+    radius = np.sqrt(k * side[0] * side[1] / (math.pi * count))
+    out = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rows, heads, bound = (np.concatenate(a) for a in zip(*_yao_join(P, Q, e, spec, tree, cuts, box, k, out)))
-        for lo in range(0, len(rows), B):
-            c = slice(lo, lo + B)
+        # the first stage: every row, in leaf order, at its group's radius
+        rows, seen = order, np.repeat(radius, count)
+        join = _join_guard(tree, Q[order].T, first, seen, cap)
+        skip = order[~join]
+        left = [(skip, np.full((len(skip), spec.p), -1), np.full((len(skip), spec.p), np.inf))]
+        # copied only where the guard refuses a row: copies of these n-sized
+        # arrays, alive while the arcs pile up, left holes that raised the
+        # peak resident size at 1e6 points by 2%
+        if len(skip):
+            rows, seen = rows[join], seen[join]
+        # no winner and no bound yet, as views of one value; runs of whole
+        # groups, whose rows each expect about k pairs: runs of _CHUNK // k
+        # rows raised the peak resident size at 1e6 points by 1%
+        pend = (rows, np.broadcast_to(-1, (len(rows), spec.p)), np.broadcast_to(np.inf, (len(rows), spec.p)))
+        rows, heads, bound = _yao_join(P, Q, e, spec, tree, box, pend, seen, n, out)
+        # the second stage: the rows left open, still in leaf order, at
+        # twice the radius
+        keep = np.zeros(n, dtype=bool)
+        keep[rows] = True
+        at = np.flatnonzero(keep[order])
+        seen = 2.0 * radius[np.searchsorted(start, at, side="right") - 1]
+        head = np.flatnonzero(np.diff(np.searchsorted(first, at, side="right"), prepend=-1))
+        # on at most cap points the query takes half of them or more, and its
+        # horizon settles rows a ball of about 4k points leaves to the scan
+        join = _join_guard(tree, Q[rows].T, head, seen, cap) & (n > cap)
+        left.append((rows[~join], heads[~join], bound[~join]))
+        pend = (rows[join], heads[join], bound[join])
+        rows, heads, bound = _yao_join(P, Q, e, spec, tree, box, pend, seen[join], max(1, _CHUNK // (4 * k)), out)
+        # the rows the guard refused
+        m = min(4 * k, n - 1)
+        B = max(1, _CHUNK // (m + 2))
+        todo = [np.concatenate(a) for a in zip(*left)]
+        left = [(rows, heads, bound)]
+        for a in range(0, len(todo[0]), B):
+            pend = [x[a:a + B] for x in todo]
             # the row, its m nearest points and one more, whose distance is
             # the horizon; a missing point has distance inf and index n
-            dk, ik = tree.query(Q[rows[c]], k=m + 2)
+            dk, ik = tree.query(Q[pend[0]], k=m + 2)
             slot = np.repeat(np.arange(len(ik)), m + 1)
-            pend = (rows[c], heads[c], bound[c])
             left.append(_settle(P, spec, box, e, pend, slot, ik[:, :-1].ravel(), dk[:, -1], out))
-        # no record is left where the join left no row
-        if left:
-            rows, heads, bound = (np.concatenate(a) for a in zip(*left))
+        rows, heads, bound = (np.concatenate(a) for a in zip(*left))
     if len(rows):
         out.append(_yao_blocks(P, spec, tree, cuts, rows, heads, bound))
     return np.concatenate(out)

@@ -760,6 +760,21 @@ def dense_square_1e4():
     return np.vstack([0.5 + 1e-4 * rng.random((5000, 2)), rng.random((2000, 2))])
 
 
+def dense_square_1e6():
+    # 5,000 points in a 1e-6 square plus 5,000 uniform points: the joins'
+    # pair-count guard refuses the rows near the square whose balls hold
+    # it, and they take the nearest-point query
+    rng = np.random.default_rng(34)
+    return np.vstack([0.5 + 1e-6 * rng.random((5000, 2)), rng.random((5000, 2))])
+
+
+def clusters_16x100_plus_5000():
+    # the benchmark's clustered shape: 16 clusters of 100 points in 1e-3
+    # squares plus 5,000 uniform points
+    rng = np.random.default_rng(35)
+    return np.vstack([c + 1e-3 * rng.random((100, 2)) for c in rng.random((16, 2))] + [rng.random((5000, 2))])
+
+
 def uniform_plus_far_point():
     # 10,000 uniform points plus one at (50, 50): the far point's group has
     # a box of about 1,250 units of area and a radius to match
@@ -772,7 +787,7 @@ def yao_families():
     points on cone edges, clusters far below the bounding box, rows whose
     cones reach far past their neighbors, overflowing distances, and groups
     whose join radius would pair most rows with most points, which the
-    join's pair-count guard sends on to the next stage."""
+    joins' pair-count guard sends on to the next stage."""
     rng = np.random.default_rng(30)
     xs, ys = np.meshgrid(np.arange(50) / 50.0, np.arange(50) / 50.0)
     t = np.arange(2500) / 2500.0
@@ -797,6 +812,10 @@ def yao_families():
         ("square-1e-4-5000-plus-2000-p8", dense_square_1e4(), 8, 0.0),
         ("uniform-10000-plus-far-point-p4", uniform_plus_far_point(), 4, 0.0),
         ("uniform-10000-plus-far-point-p8", uniform_plus_far_point(), 8, 0.0),
+        ("clusters-16x100-1e-3-plus-5000-p4", clusters_16x100_plus_5000(), 4, 0.0),
+        ("clusters-16x100-1e-3-plus-5000-p8", clusters_16x100_plus_5000(), 8, 0.0),
+        ("square-1e-6-5000-plus-5000-p4", dense_square_1e6(), 4, 0.0),
+        ("square-1e-6-5000-plus-5000-p8", dense_square_1e6(), 8, 0.0),
     ]
 
 
@@ -1057,15 +1076,60 @@ class TestYao:
         assert all(m <= load * rows for rows, m in join_pairs)
 
     def test_join_spares_nearest_queries(self, query_rows):
-        # the join settles the rows of uniform input but a few near the
-        # hull or with a cone just past the join's radius, and only those
-        # query their nearest points: 4.1-6.3% of the rows on ten seeds,
-        # against all of them for a first stage of nearest-point queries
+        # the first join settles the rows of uniform input but a few near
+        # the hull or with a cone just past its radius, 4.1-6.3% of the
+        # rows on ten seeds, and the second join takes those: no row
+        # queries its nearest points, against all of them for a first
+        # stage of nearest-point queries
         pts = uniform_points(seed=33, n=3000)
         spec = ConeSpec(8)
         got = yao(pts, spec)
         assert sum(query_rows) < 0.1 * pts.n
         assert got == DiGraph(pts.n, _yao_dense(pts.coords, spec))
+
+    @pytest.mark.parametrize(
+        "name, coords, p",
+        [
+            ("uniform-6000", np.random.default_rng(36).random((6000, 2)), 8),
+            ("clusters-16x100-1e-3-plus-5000", clusters_16x100_plus_5000(), 4),
+            ("clusters-16x100-1e-3-plus-5000", clusters_16x100_plus_5000(), 8),
+            ("row-10000", np.column_stack([np.arange(10000) / 10000.0, np.full(10000, 0.5)]), 4),
+            ("collinear-2500", np.column_stack([np.arange(2500) / 2500.0, np.full(2500, 0.5)]), 2),
+        ],
+        ids=["uniform-6000-p8", "clusters-p4", "clusters-p8", "row-10000-p4", "collinear-2500-p2"],
+    )
+    def test_nearest_query_only_where_no_join_goes(self, name, coords, p, monkeypatch):
+        # a row queries its 4k nearest points only where the join guard
+        # refuses it, and the guard refuses only a row of a group whose box
+        # has no area or whose own ball at the radius holds more than 8k
+        # points. On a line every group's box has no area, so every row
+        # queries, and the query settles the empty cones against the
+        # bounding box: without it the block scan took collinear-2500 from
+        # 0.047 to 1.34 s
+        queried, refused, scanned = [], [], spy_block_scan(monkeypatch)
+        guard = graphs._join_guard
+
+        def spy(tree, X, head, seen, cap):
+            join = guard(tree, X, head, seen, cap)
+            out = X[:, ~join]
+            load = tree.query_ball_point(out.T, seen[~join], return_length=True)
+            assert ((seen[~join] == 0.0) | (load > cap)).all()
+            refused.extend(map(tuple, out.T.tolist()))
+            return join
+
+        class Spy(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.extend(map(tuple, np.asarray(x).tolist()))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "_join_guard", spy)
+        monkeypatch.setattr(graphs, "cKDTree", Spy)
+        yao(PointSet(coords), ConeSpec(p))
+        assert set(queried) <= set(refused)
+        if name.startswith(("row", "collinear")):
+            assert len(queried) == len(coords) and sum(scanned) == 0
+        else:
+            assert len(refused) < 0.01 * len(coords)
 
     @pytest.mark.parametrize("p", [4, 8])
     @pytest.mark.parametrize(
@@ -1229,27 +1293,30 @@ class TestYao:
         assert graphs._cone_reach(P, np.arange(0), spec, box).shape == (0, p)
 
     @pytest.mark.parametrize(
-        "layout, p",
+        "layout, p, memory",
         [
-            (lambda: uniform_points(seed=60, n=30000), 12),
-            (lambda: PointSet(ring(3000)), 8),
-            (lambda: PointSet(ring(10000)), 8),
-            (lambda: PointSet(np.column_stack([np.arange(10000) / 10000.0, np.full(10000, 0.5)])), 4),
+            (lambda: uniform_points(seed=60, n=30000), 12, 150e6),
+            (lambda: PointSet(ring(3000)), 8, 150e6),
+            (lambda: PointSet(ring(10000)), 8, 150e6),
+            (lambda: PointSet(np.column_stack([np.arange(10000) / 10000.0, np.full(10000, 0.5)])), 4, 150e6),
+            (lambda: PointSet(dense_square_1e6()), 8, 16e6),
         ],
-        ids=["uniform-30000", "ring-3000", "ring-10000", "row-10000"],
+        ids=["uniform-30000", "ring-3000", "ring-10000", "row-10000", "square-1e-6-5000-plus-5000"],
     )
-    def test_bounded_cost(self, layout, p):
+    def test_bounded_cost(self, layout, p, memory):
         # a search that cannot settle a row with an empty cone before
         # scanning every point takes 9 s and 550 MB on the first input; on
         # the rings every row needs the block scan, so each search stage
-        # beyond two only adds cost. Scanning all points for those rows
-        # takes 3.6-7.5 s on the larger ring; the block scan takes 1.1-1.5 s
-        # there and the others 0.4-1.2 s, all at most 31 MB, so the bounds
-        # leave about three-fold headroom or more. On the row of points the
-        # empty cones settle only when the row's bounding box, whose
-        # corners lie on the row, meets just the cones of the axis
-        # directions; otherwise every row scans every point on its side,
-        # 12 s in all
+        # beyond the two joins only adds cost. Scanning all points for
+        # those rows takes 3.6-7.5 s on the larger ring; the block scan
+        # takes 1.1-1.5 s there and the others 0.4-1.2 s, all at most 31
+        # MB, so the bounds leave about three-fold headroom or more. On the
+        # row of points the empty cones settle only when the row's
+        # bounding box, whose corners lie on the row, meets just the cones
+        # of the axis directions; otherwise every row scans every point on
+        # its side, 12 s in all. On the dense square the joins' guard
+        # keeps the rows whose balls hold the square to their nearest
+        # points: 4.8 MB traced, and 60 MB with no guard
         pts = layout()
         spec = ConeSpec(p)
         t0 = time.perf_counter()
@@ -1262,7 +1329,7 @@ class TestYao:
         finally:
             tracemalloc.stop()
         assert elapsed < 4.0
-        assert peak < 150e6
+        assert peak < memory
 
 
 # ---------------------------------------------------------------------------
