@@ -233,7 +233,7 @@ density, its point count over the area of its box. The first stage joins
 each point at its group's r, and the second each point the first leaves
 open at 2r, whose disk holds about the 4k points a nearest-point query
 would take. A join pairs a point with every point whose float distance
-is at most its radius, one kd-tree over a run of points of one radius
+is at most its radius, one kd-tree over a run of points of one group
 against the tree; that distance is off by a few ulps, so every point
 within the radius times 1 - 1e-12 is paired, and the radius is the
 point's search radius. The points the guard (below) refuses pair with
@@ -262,13 +262,17 @@ settled is done, and the others go on. A cone is settled by:
 A group's radius follows its mean density, so a group that spans a dense
 cluster and the sparse points around it, or a far outlier, would pair
 its points with most points: quadratic time and memory. A guard bounds
-both joins. One ball query per block counts the points within the half
-diagonal of the box of the block's points in the stage, plus the radius,
-of the box's centre: a ball that holds every point within the radius of
-each of them. Where that count exceeds 8k, each of the block's points
-counts its own ball. A point whose ball holds more than 8k points, or
-whose group's box has no area, is refused: it skips the joins and takes
-the nearest-point query. So a join pairs at most 8k points per point,
+both joins. The points of a block in a stage share a radius; around the
+centre of their box, the ball of the radius plus the box's half
+diagonal holds every point within the radius of each of them, and the
+ball of the radius minus the half diagonal only such points. A count of
+the first ball passes the block's points where it holds at most 8k
+points, a count of the second refuses them where it holds more, and
+otherwise each point counts its own ball. So a far point's group, whose
+radius spans most points, costs about two counts per block and not one
+per point. A point whose ball holds more than 8k points, or whose
+group's box has no area, is refused: it skips the joins and takes the
+nearest-point query. So a join pairs at most 8k points per point,
 twice what the query takes. A point refused at r is not tried at 2r,
 whose ball holds its ball at r. On a set of at most 8k points the query
 takes half the points or more, and its horizon settles points that a
@@ -340,13 +344,13 @@ Working set. Every kernel decides each row or pair on its own, so batch
 sizes set only the cost. The pair kernels take batches of about
 ``_CHUNK`` = 2**15 (row, point) pairs: Yao's search stages, the steps of
 the cone search, and ``_full_test``'s nearest points and scans of every
-point. A join takes its points in runs of one radius: at r a whole
-group, and at 2r at most ``_CHUNK`` // 4k points, about ``_CHUNK`` pairs
-at the density 2r is sized for and at most 2 ``_CHUNK`` under the guard.
-A batch takes runs until their pairs reach ``_CHUNK``, so it passes
-``_CHUNK`` by at most one run. The per-edge triangulation
-tests, whose rows each hold a few dozen temporaries, take chunks of
-``_CHUNK // 8`` rows. Their temporaries then stay within a few MB at any
+point. A join takes its points in runs within one group: at r the
+group's points, at most max(sqrt(8n), 32), and at 2r at most ``_CHUNK``
+// 4k of them, about ``_CHUNK`` pairs at the density 2r is sized for and
+at most 2 ``_CHUNK`` under the guard. A batch takes runs until their
+pairs reach ``_CHUNK``, so it passes ``_CHUNK`` by at most one run. The
+per-edge triangulation tests, whose rows each hold a few dozen
+temporaries, take chunks of ``_CHUNK // 8`` rows. Their temporaries then stay within a few MB at any
 n, and the peak is set by arrays of a few words per point: the
 triangulation, the candidates and the arcs. The block scan keeps batches
 of ``_BLOCK`` = 2**18 pairs against its groups, as a smaller batch
@@ -357,7 +361,6 @@ references.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -1187,7 +1190,6 @@ def _cone_reach(P, rows, spec: ConeSpec, box):
     return np.maximum(ends, np.where(meets, cd2, 0.0).max(axis=1)).T
 
 
-@lru_cache(maxsize=16)
 def _cone_lines(spec: ConeSpec):
     """(weights, axes) for ``_box_cones``. The weights (5, 5p) give, from a
     box's corner offsets (lo_x, lo_y, hi_x, hi_y) minus the row point and a
@@ -1198,7 +1200,7 @@ def _cone_lines(spec: ConeSpec):
     narrowed cone on its negative side. The greatest dot product takes, per
     axis, the end the normal points to. ``axes`` (p, 4) marks the cones of
     the directions +x, -x, +y and -y, as ``_cones`` gives them for either
-    sign of the zero difference. Each spec's pair is cached, read-only."""
+    sign of the zero difference."""
     start = spec.offset + spec.theta * np.arange(spec.p)
     lo, hi = start - _WIDEN, start + spec.theta + _WIDEN
     nlo, nhi = start + _WIDEN, start + spec.theta - _WIDEN
@@ -1214,8 +1216,6 @@ def _cone_lines(spec: ConeSpec):
     dy = np.array(zero + zero + [1.0, 1.0, -1.0, -1.0])
     axes = np.zeros((spec.p, 4), dtype=bool)
     axes[_cones(dx, dy, spec), np.repeat(np.arange(4), 2)] = True
-    weights.setflags(write=False)
-    axes.setflags(write=False)
     return weights, axes
 
 
@@ -1392,41 +1392,47 @@ def _settle(P, spec: ConeSpec, box, e, pend, slot, cols, seen, out):
     return rows[~done], heads[~done], np.where(settled, -np.inf, hd2)[~done]
 
 
-def _ball_load(tree, lo, hi, r):
-    """Points of ``tree`` within half the diagonal of each box [lo, hi],
-    coordinates first, plus ``r`` of the box's centre: a ball that holds
-    every point within r of each point of the box. A point is a box of its
-    own, with no diagonal."""
-    half = 0.5 * np.hypot(hi[0] - lo[0], hi[1] - lo[1])
-    return tree.query_ball_point((0.5 * (lo + hi)).T, half + r, return_length=True)
-
-
 def _join_guard(tree, X, head, seen, cap):
     """Which rows, coordinates ``X`` (first) in leaf order, a join at radius
     ``seen`` can take: those whose ball holds at most ``cap`` points, where
     ``seen`` is positive. ``head`` holds the first row of each block's
-    rows. One ball around the box of a block's rows counts for all of them;
-    the rows of a block whose count exceeds ``cap`` take balls of their
-    own."""
+    rows, which share a radius r. Around the centre of the box of a block's
+    rows, the ball of radius r plus the box's half diagonal holds every
+    point within r of each row, and the ball of r minus the half diagonal
+    only such points. One count of the first passes the block's rows where
+    it holds at most ``cap`` points, and one of the second refuses them
+    where it holds more; the rows of a block neither settles count their
+    own balls."""
     lo, hi = np.minimum.reduceat(X, head, axis=1), np.maximum.reduceat(X, head, axis=1)
-    load = np.repeat(_ball_load(tree, lo, hi, seen[head]), np.diff(np.append(head, len(seen))))
-    over = load > cap
-    load[over] = _ball_load(tree, X[:, over], X[:, over], seen[over])
-    return (seen > 0.0) & (load <= cap)
+    half = 0.5 * np.hypot(hi[0] - lo[0], hi[1] - lo[1])
+    mid = (0.5 * (lo + hi)).T
+    r = seen[head]
+    live = np.flatnonzero(r > 0.0)
+    load = np.full(len(head), cap + 1)
+    load[live] = tree.query_ball_point(mid[live], half[live] + r[live], return_length=True)
+    inner = np.flatnonzero((load > cap) & (r > half))
+    ask = (load > cap) & (r > 0.0)
+    ask[inner] = tree.query_ball_point(mid[inner], r[inner] - half[inner], return_length=True) <= cap
+    sizes = np.diff(np.append(head, len(seen)))
+    join = np.repeat(load <= cap, sizes)
+    ask = np.repeat(ask, sizes)
+    join[ask] = tree.query_ball_point(X[:, ask].T, seen[ask], return_length=True) <= cap
+    return join
 
 
-def _yao_join(P, Q, e, spec: ConeSpec, tree, box, pend, seen, size, out):
+def _yao_join(P, Q, e, spec: ConeSpec, tree, box, pend, seen, cut, size, out):
     """A search stage of fixed-radius joins.
 
     The rows of the pending record ``pend``, in leaf order, pair with every
-    point within their search radius ``seen`` in Q. Rows of one radius go
-    in runs of at most ``size``, and one kd-tree over a run's rows finds its
-    pairs. A batch takes runs until their pairs, or their rows where a run
-    has fewer pairs than rows, reach ``_CHUNK``, and goes through
-    ``_settle``. Returns the pending record of the rows left open."""
+    point within their search radius ``seen`` in Q, which their group
+    sets; ``cut`` holds the first row of each group but the first. The rows
+    of one group go in runs of at most ``size``, and one kd-tree over a
+    run's rows finds its pairs. A batch takes runs until their pairs, or
+    their rows where a run has fewer pairs than rows, reach ``_CHUNK``, and
+    goes through ``_settle``. Returns the pending record of the rows left
+    open."""
     rows, heads, bound = pend
     left, slots, cols, at, pairs = [], [], [], 0, 0
-    cut = np.flatnonzero(np.diff(seen)) + 1
     for a0, b0 in zip(chain([0], cut), chain(cut, [len(rows)])):
         for a in range(a0, b0, size):
             b = min(a + size, b0)
@@ -1475,7 +1481,7 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     out = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # the first stage: every row, in leaf order, at its group's radius
-        rows, seen = order, np.repeat(radius, count)
+        rows, seen, cut = order, np.repeat(radius, count), start[1:]
         join = _join_guard(tree, Q[order].T, first, seen, cap)
         skip = order[~join]
         left = [(skip, np.full((len(skip), spec.p), -1), np.full((len(skip), spec.p), np.inf))]
@@ -1483,25 +1489,27 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
         # arrays, alive while the arcs pile up, left holes that raised the
         # peak resident size at 1e6 points by 2%
         if len(skip):
-            rows, seen = rows[join], seen[join]
+            rows, seen, cut = rows[join], seen[join], np.searchsorted(np.flatnonzero(join), cut)
         # no winner and no bound yet, as views of one value; runs of whole
         # groups, whose rows each expect about k pairs: runs of _CHUNK // k
         # rows raised the peak resident size at 1e6 points by 1%
         pend = (rows, np.broadcast_to(-1, (len(rows), spec.p)), np.broadcast_to(np.inf, (len(rows), spec.p)))
-        rows, heads, bound = _yao_join(P, Q, e, spec, tree, box, pend, seen, n, out)
+        rows, heads, bound = _yao_join(P, Q, e, spec, tree, box, pend, seen, cut, n, out)
         # the second stage: the rows left open, still in leaf order, at
         # twice the radius
         keep = np.zeros(n, dtype=bool)
         keep[rows] = True
         at = np.flatnonzero(keep[order])
-        seen = 2.0 * radius[np.searchsorted(start, at, side="right") - 1]
+        g = np.searchsorted(start, at, side="right") - 1
+        seen = 2.0 * radius[g]
         head = np.flatnonzero(np.diff(np.searchsorted(first, at, side="right"), prepend=-1))
         # on at most cap points the query takes half of them or more, and its
         # horizon settles rows a ball of about 4k points leaves to the scan
         join = _join_guard(tree, Q[rows].T, head, seen, cap) & (n > cap)
         left.append((rows[~join], heads[~join], bound[~join]))
         pend = (rows[join], heads[join], bound[join])
-        rows, heads, bound = _yao_join(P, Q, e, spec, tree, box, pend, seen[join], max(1, _CHUNK // (4 * k)), out)
+        cut = np.flatnonzero(np.diff(g[join])) + 1
+        rows, heads, bound = _yao_join(P, Q, e, spec, tree, box, pend, seen[join], cut, max(1, _CHUNK // (4 * k)), out)
         # the rows the guard refused
         m = min(4 * k, n - 1)
         B = max(1, _CHUNK // (m + 2))

@@ -768,6 +768,12 @@ def dense_square_1e6():
     return np.vstack([0.5 + 1e-6 * rng.random((5000, 2)), rng.random((5000, 2))])
 
 
+def lattice(m):
+    # the m x m integer lattice, whose kd-tree groups are congruent
+    xs, ys = np.meshgrid(np.arange(m, dtype=float), np.arange(m, dtype=float))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
 def clusters_16x100_plus_5000():
     # the benchmark's clustered shape: 16 clusters of 100 points in 1e-3
     # squares plus 5,000 uniform points
@@ -1300,8 +1306,9 @@ class TestYao:
             (lambda: PointSet(ring(10000)), 8, 150e6),
             (lambda: PointSet(np.column_stack([np.arange(10000) / 10000.0, np.full(10000, 0.5)])), 4, 150e6),
             (lambda: PointSet(dense_square_1e6()), 8, 16e6),
+            (lambda: PointSet(lattice(256)), 4, 40e6),
         ],
-        ids=["uniform-30000", "ring-3000", "ring-10000", "row-10000", "square-1e-6-5000-plus-5000"],
+        ids=["uniform-30000", "ring-3000", "ring-10000", "row-10000", "square-1e-6-5000-plus-5000", "lattice-256"],
     )
     def test_bounded_cost(self, layout, p, memory):
         # a search that cannot settle a row with an empty cone before
@@ -1316,7 +1323,10 @@ class TestYao:
         # of the axis directions; otherwise every row scans every point on
         # its side, 12 s in all. On the dense square the joins' guard
         # keeps the rows whose balls hold the square to their nearest
-        # points: 4.8 MB traced, and 60 MB with no guard
+        # points: 4.8 MB traced, and 60 MB with no guard. On the lattice
+        # every group has the same box, and so the same radius, which took
+        # a first stage joining its runs of one radius to 189 MB traced;
+        # one run per group takes 12 MB
         pts = layout()
         spec = ConeSpec(p)
         t0 = time.perf_counter()

@@ -4,6 +4,7 @@
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workloads clustered-build --pairs 10 --seed-base 9001 \\
         --label yao_stage2 --out BENCH_yao_stage2.json
+    python3 tools/bench_pairs.py --merge run1.json run2.json --out BENCH_x.json
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, on one
 fresh seed, each side in its own process from its own directory. The
@@ -17,7 +18,12 @@ and per workload and end-to-end metric: the parent's and the change's
 median and quartiles, the change of the medians relative to the parent,
 the parent's interquartile range over its median, and the number of pairs
 the change won (a lower time or size, a higher ``ok_frac``). A pair also
-compares the digests both runs printed for the trials both ran.
+compares the digests both runs printed for the trials both ran; where
+there are none to compare, ``digests_equal`` is null.
+
+``--merge`` runs nothing: it pools the pairs of several output files of
+this tool into one summary and keeps each file's record, summary
+included, as ``run_1``, ``run_2``, ... in the order given.
 
 The tool only reads the checkouts' ``perfbench`` and ``BENCHMARK.json``;
 each run writes its result file under its own ``perfbench/results/``.
@@ -42,16 +48,23 @@ DIGEST = re.compile(r"^digest trial=(\d+) (\S+) sha256=(\w+)$")
 
 def _parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, help="checkout of the change")
+    ap.add_argument("--workloads", help="comma-separated workload names")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed-base", required=True, type=int)
+    ap.add_argument("--seed-base", type=int)
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--label", required=True)
+    ap.add_argument("--label")
     ap.add_argument("--what", default="", help="one line on what the change does")
+    ap.add_argument("--merge", nargs="+", type=Path, metavar="FILE", help="pool these output files; run nothing")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
+    if args.merge:
+        return args
+    missing = [f"--{k.replace('_', '-')}" for k in ("parent", "change", "workloads", "seed_base", "label")
+               if getattr(args, k) is None]
+    if missing:
+        ap.error(f"missing {', '.join(missing)}")
     for side in (args.parent, args.change):
         if not (side / "perfbench" / "run.py").is_file():
             ap.error(f"no perfbench/run.py under {side}")
@@ -103,10 +116,11 @@ def summarise(pairs, metrics) -> dict:
     """Per end-to-end metric: medians, quartiles, relative change of the
     medians, the parent's IQR over its median and the pairs the change
     won. ``metrics`` maps each name to "lower" or "higher"."""
+    compared = [p["digests_equal"] for p in pairs if p["digests_compared"]]
     out = {
         "pairs": len(pairs),
         "digests_compared": sum(p["digests_compared"] for p in pairs),
-        "digests_equal": all(p["digests_equal"] for p in pairs),
+        "digests_equal": all(compared) if compared else None,
     }
     for name, better in metrics.items():
         both = [(p["parent"][name], p["change"][name]) for p in pairs
@@ -134,11 +148,37 @@ def _values(run) -> dict:
     return {k: v["value"] for k, v in res.get("metrics", {}).items()}
 
 
+def _metrics(bench) -> dict:
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+
+def merge(paths, out: Path) -> int:
+    """Pool the pairs of several output files into one summary."""
+    parts = [json.loads(p.read_text()) for p in paths]
+    metrics = _metrics(json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()))
+    pairs = [pair for part in parts for pair in part["pairs"]]
+    workloads = list(dict.fromkeys(pair["workload"] for pair in pairs))
+    record = {
+        "label": parts[0]["label"],
+        "what": parts[0]["what"],
+        "command": parts[0]["command"],
+        "protocol": f"{len(parts)} runs of this tool pooled; 'summary' holds all their pairs, 'run_i' each run",
+        "host": parts[0]["host"],
+        "summary": {w: summarise([p for p in pairs if p["workload"] == w], metrics) for w in workloads},
+        **{f"run_{i + 1}": part for i, part in enumerate(parts)},
+    }
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    if args.merge:
+        return merge(args.merge, args.out)
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     order = [w["name"] for w in bench["workloads"]]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = _metrics(bench)
     workloads = args.workloads.split(",")
     unknown = [w for w in workloads if w not in order]
     if unknown:
@@ -160,7 +200,8 @@ def main(argv=None) -> int:
             pair = {
                 "workload": w, "seed": seed, "first": first,
                 "digests_compared": len(common),
-                "digests_equal": all(got["parent"]["digests"][k] == got["change"]["digests"][k] for k in common),
+                "digests_equal": (all(got["parent"]["digests"][k] == got["change"]["digests"][k] for k in common)
+                                  if common else None),
                 "parent": _values(got["parent"]),
                 "change": _values(got["change"]),
             }
