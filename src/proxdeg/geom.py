@@ -243,9 +243,14 @@ class PointSet:
 
     ``meta`` carries provenance (generation seed, trial index, region) and
     is not part of equality.
+
+    The graph builders keep geometry they derive from the points (a kd-tree,
+    a triangulation's candidate pairs) in a private slot that starts empty,
+    so that the graphs built on one set share it. Equality, pickling and
+    copies neither compare nor carry it.
     """
 
-    __slots__ = ("coords", "meta")
+    __slots__ = ("coords", "meta", "_derived")
 
     def __init__(self, coords, meta=None):
         numeric = isinstance(coords, np.ndarray) and coords.dtype.kind in "fiu"
@@ -278,6 +283,16 @@ class PointSet:
         arr.setflags(write=False)
         self.coords = arr
         self.meta = dict(meta) if meta else {}
+        self._derived = {}
+
+    def __getstate__(self):
+        return self.coords, self.meta
+
+    def __setstate__(self, state):
+        self.coords, self.meta = state
+        # an unpickled or deep-copied array is writeable
+        self.coords.setflags(write=False)
+        self._derived = {}
 
     @property
     def n(self) -> int:

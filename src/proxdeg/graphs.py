@@ -356,10 +356,26 @@ triangulation, the candidates and the arcs. The block scan keeps batches
 of ``_BLOCK`` = 2**18 pairs against its groups, as a smaller batch
 shrinks to a few rows where there are many groups, and so do the exact
 references.
+
+The graphs built on one ``PointSet`` share what the builders derive from
+its points alone, kept in the point set's private slot: Q and its
+kd-tree, built by the first builder to run; Yao's leaf layout, built by
+the first ``yao`` call at any p; and the candidates, with whether the
+certificate may take them, built by the first of ``gabriel`` and
+``rng_graph`` and released when the other takes them. Each ``gabriel``
+call computes the certificate itself, so a lone ``rng_graph`` never
+does. Each is what a call on a fresh point set computes, and read-only,
+so the edges do not depend on the order of the calls. Traced, on uniform
+points at 1e4 and 1e5, the slot holds 24 bytes per point for Q and the
+tree's order (the tree's nodes, allocated outside Python, add about 12),
+120 while the candidates are kept, and 26-27 with Yao's layout. The walk
+that builds the layout runs on a copy of the tree, which would keep the
+node objects it hands out, another 20-25 bytes per point.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from itertools import chain
 
@@ -779,16 +795,16 @@ def _folded(P, T):
     return out
 
 
-def _certified(P, cand, shared, ins, tol, slack):
+def _certified(P, cand, slack):
     """Which candidates are Gabriel edges of P with no test, by the
-    certificate of the module docstring; all False unless its global
-    precondition holds. ``cand`` holds every edge of a triangulation that
-    kept every point once, as (u, v, w, w'), ``shared`` the rows of its
-    shared edges and ``ins`` and ``tol`` their incircle values and
-    allowances, with ``slack`` the allowance's coordinate uncertainty."""
+    certificate of the module docstring; all False unless the rest of its
+    global precondition holds. ``cand`` holds every edge of a triangulation
+    that kept every point once, as (u, v, w, w'), w' = u on the hull, and
+    every shared edge's incircle value is below minus its allowance, whose
+    coordinate uncertainty is ``slack``."""
     sure = np.zeros(len(cand), dtype=bool)
-    if not (ins < -tol).all():
-        return sure
+    # a shared edge has a vertex opposite it on both sides
+    shared = np.flatnonzero(cand[:, 3] != cand[:, 0])
     # gathers from the column views beat indexing P by rows
     x, y = P[:, 0], P[:, 1]
     dx = x[cand[:, 1]] - x[cand[:, 0]]
@@ -917,17 +933,17 @@ def _search_pairs(P, tree, flagged, slack):
     return pairs[two | ~flagged[pairs[:, 1]]]
 
 
-def _candidate_pairs(P, tree, floor, certify=False):
+def _candidate_pairs(P, tree, floor):
     """Candidates (u, v, a, b), u != v, whose pairs include every Gabriel
     and every relative-neighborhood edge of P; a and b are witnesses to try
     first: the vertices opposite a triangulation edge, u where there is
     none, or the search's cone winners. See the module docstring. ``tree``
     indexes P, and ``floor`` bounds the coordinate uncertainty below.
 
-    Returns the candidates and, when ``certify``, a mask of those that are
-    Gabriel edges with no test (``_certified``), or None. Only a
-    triangulation that vouches for every point, so that the candidates are
-    its edges each once, certifies any."""
+    Returns the candidates and whether ``_certified`` may take them: only
+    where the triangulation vouches for every point, so that the candidates
+    are its edges each once, and every shared edge passes the incircle test
+    strictly."""
     n = len(P)
     slack = _ulp_slack(P, floor)
     # points in the tree's leaf order are near in memory where near in space;
@@ -940,7 +956,7 @@ def _candidate_pairs(P, tree, floor, certify=False):
         tri = None
     # Qhull's point at infinity leaks into the output of nearly flat input
     if tri is None or (tri.simplices >= n).any():
-        return _search_pairs(P, tree, np.ones(n, dtype=bool), slack), None
+        return _search_pairs(P, tree, np.ones(n, dtype=bool), slack), False
     T = tri.simplices.astype(np.int64)
     nb = tri.neighbors.astype(np.int64)
     # Qhull's arrays hold about 130 bytes per point that nothing below uses
@@ -959,12 +975,6 @@ def _candidate_pairs(P, tree, floor, certify=False):
     # Qhull can fold a triangle over near its resolution, and the incircle
     # test of its edges from its own side then passes
     folded = np.flatnonzero(_folded(Po, T))
-    sure = None
-    if certify:
-        kept = np.zeros(n, dtype=bool)
-        kept[T.ravel()] = True
-        if kept.all():
-            sure = _certified(Po, cand, shared, ins, tol, slack)
     # the rest takes the points' own indices
     T = order[T]
     cand = order[cand]
@@ -983,13 +993,13 @@ def _candidate_pairs(P, tree, floor, certify=False):
         ins, tol = _incircle(P, T[ti], free[pt], slack)
         flagged[free[pt[ins > tol]]] = True
     if not flagged.any():
-        return cand, sure
+        return cand, bool((ins < -tol).all())
     cand = np.concatenate([cand, _search_pairs(P, tree, flagged, slack)])
     lo = cand[:, :2].min(axis=1)
     hi = cand[:, :2].max(axis=1)
     # each pair once; the first copy, a triangulation edge's if there is one
     first = np.unique(lo * n + hi, return_index=True)[1]
-    return cand[first], None
+    return cand[first], False
 
 
 def _scaled_tree(P):
@@ -999,7 +1009,39 @@ def _scaled_tree(P):
     cannot overflow."""
     e = math.frexp(float(np.abs(P).max()))[1]
     Q = np.ldexp(P, -e)
-    return e, Q, cKDTree(Q)
+    Q.setflags(write=False)
+    tree = cKDTree(Q)
+    tree.indices.setflags(write=False)
+    return e, Q, tree
+
+
+def _kept(points: PointSet, key, make):
+    """``make()`` for ``points``, built on first use and kept in the point
+    set's private slot (module docstring, "Working set")."""
+    derived = points._derived
+    if key not in derived:
+        derived[key] = make()
+    return derived[key]
+
+
+def _candidates(points: PointSet, kind, Q, tree, floor):
+    """The candidates of ``points`` and whether ``_certified`` may take
+    them. The first of the two graphs to ask builds them and leaves them in
+    the point set's slot for the other, which releases them."""
+    derived = points._derived
+    got = derived.get("candidates")
+    if got is None:
+        if np.ptp(points.coords, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
+            # the raw squared distances overflow and stop following the
+            # geometry, so every pair is a candidate
+            cand, clean = _all_pairs(len(Q)), False
+        else:
+            cand, clean = _candidate_pairs(Q, tree, floor)
+        cand.setflags(write=False)
+        got = derived["candidates"] = (cand, clean, kind)
+    elif got[2] != kind:
+        del derived["candidates"]
+    return got[:2]
 
 
 def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
@@ -1008,16 +1050,13 @@ def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     # the incircle terms of degree 4 in Q cannot overflow
-    e, Q, tree = _scaled_tree(P)
+    e, Q, tree = _kept(points, "tree", lambda: _scaled_tree(P))
     floor = math.ldexp(1.0, _FLOOR_EXP - e)
+    slack = _ulp_slack(Q, floor)
     with np.errstate(over="ignore"):
-        if np.ptp(P, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
-            # the raw squared distances overflow and stop following the
-            # geometry, so every pair is a candidate
-            cand, sure = _all_pairs(n), None
-        else:
-            cand, sure = _candidate_pairs(Q, tree, floor, kind == GABRIEL)
-        keep = _full_test(P, Q, tree, cand, kind, _ulp_slack(Q, floor), sure)
+        cand, clean = _candidates(points, kind, Q, tree, floor)
+        sure = _certified(Q, cand, slack) if clean and kind == GABRIEL else None
+        keep = _full_test(P, Q, tree, cand, kind, slack, sure)
     return cand[keep, :2]
 
 
@@ -1271,7 +1310,9 @@ def _leaf_cuts(P, tree):
     are equal, which the tree cannot split."""
     group = max(math.sqrt(8.0 * tree.n), _LEAF)
     blocks, groups = [], []
-    stack = [(tree.tree, False)]
+    # the walk takes a copy: a tree keeps every node object it has handed
+    # out, about 20 bytes per point, for as long as it lives
+    stack = [(copy.copy(tree).tree, False)]
     while stack:
         node, grouped = stack.pop()
         if not grouped and (node.children <= group or node.lesser is None):
@@ -1285,7 +1326,10 @@ def _leaf_cuts(P, tree):
     Po = P[tree.indices]
     box = np.vstack([np.minimum.reduceat(Po, first).T, np.maximum.reduceat(Po, first).T])
     gbox = np.vstack([np.minimum.reduceat(box[:2], gfirst, axis=1), np.maximum.reduceat(box[2:], gfirst, axis=1)])
-    return first, np.append(first[1:], tree.n), gfirst, np.append(gfirst[1:], len(first)), box, gbox
+    cuts = first, np.append(first[1:], tree.n), gfirst, np.append(gfirst[1:], len(first)), box, gbox
+    for a in cuts:
+        a.setflags(write=False)
+    return cuts
 
 
 def _spread(slot, first, stop):
@@ -1450,7 +1494,7 @@ def _yao_join(P, Q, e, spec: ConeSpec, tree, box, pend, seen, cut, size, out):
     return tuple(np.concatenate(a) for a in zip(*left)) if left else pend
 
 
-def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
+def _yao_knn(points: PointSet, spec: ConeSpec) -> np.ndarray:
     """Staged search, then a scan of nearby blocks for the rows it leaves.
 
     Rows go in kd-tree leaf order. A group's radius r is the one at which a
@@ -1463,9 +1507,10 @@ def _yao_knn(P, spec: ConeSpec) -> np.ndarray:
     n - 1, and take the next nearest point's distance as the horizon: inf
     where there is none, as the query has then seen every point. All three
     settle rows with ``_settle``; the rows with a cone left open go to
-    ``_yao_blocks``."""
-    e, Q, tree = _scaled_tree(P)
-    cuts = _leaf_cuts(P, tree)
+    ``_yao_blocks``. The tree and its leaf layout are the point set's."""
+    P = points.coords
+    e, Q, tree = _kept(points, "tree", lambda: _scaled_tree(P))
+    cuts = _kept(points, "cuts", lambda: _leaf_cuts(P, tree))
     first, stop, gfirst, gstop, _, groups = cuts
     order = tree.indices
     n = len(P)
@@ -1538,7 +1583,7 @@ def yao(points, spec: ConeSpec) -> DiGraph:
     n = pts.n
     if n < 2:
         return DiGraph(n)
-    return DiGraph(n, _yao_knn(pts.coords, spec))
+    return DiGraph(n, _yao_knn(pts, spec))
 
 
 def unit_disk_graph(points, radius) -> Graph:

@@ -23,7 +23,10 @@ The scan of nearby blocks that follows the search is checked on layouts
 where a spy shows rows reaching it.
 """
 
+import copy
+import gc
 import math
+import pickle
 import time
 import tracemalloc
 import types
@@ -38,7 +41,9 @@ from scipy.spatial import Delaunay, cKDTree
 from proxdeg import (
     ConeSpec,
     DiGraph,
+    ExperimentConfig,
     Graph,
+    GraphKind,
     ParameterError,
     PointSet,
     Rect,
@@ -47,8 +52,10 @@ from proxdeg import (
     gabriel,
     gabriel_naive,
     intersect,
+    max_degree,
     rng_graph,
     rng_naive,
+    run_trials,
     sample_uniform,
     trial_generator,
     undirected_view,
@@ -273,8 +280,10 @@ class TestGabriel:
         assert g.edge_count <= 3 * pts.n - 6
 
     def test_deterministic(self):
+        # a fresh point set for the second call, which would otherwise take
+        # the first call's candidates
         pts = uniform_points(seed=12, n=300)
-        assert np.array_equal(gabriel(pts).edges, gabriel(pts).edges)
+        assert np.array_equal(gabriel(pts).edges, gabriel(PointSet(pts.coords)).edges)
 
 
 class TestRelativeNeighborhood:
@@ -582,14 +591,16 @@ def test_builders_bounded_cost(layout, build):
     # five-fold headroom over the cost of the triangulation's candidates.
     # Fetching the ball of every point for each overflowing pair as a list
     # took 3.3 s and 1.0 GB traced for rng_graph on the fourth, and 2.4-3.4 s
-    # and 1.4-1.6 GB on the last, where every ball holds every point
-    pts = PointSet(layout())
+    # and 1.4-1.6 GB on the last, where every ball holds every point. Each
+    # call takes a fresh point set, so that the traced one runs Qhull and
+    # builds the kd-tree as the timed one does
+    coords = layout()
     t0 = time.perf_counter()
-    build(pts)
+    build(PointSet(coords))
     elapsed = time.perf_counter() - t0
     tracemalloc.start()
     try:
-        build(pts)
+        build(PointSet(coords))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -668,7 +679,8 @@ def test_points_inside_a_seed_circle_are_searched(monkeypatch):
     pts = PointSet(P)
     assert (1, 5) in edge_set(gabriel_naive(pts))
     assert gabriel(pts) == gabriel_naive(pts)
-    assert rng_graph(pts) == rng_naive(pts)
+    # a fresh point set, so that rng_graph triangulates it too
+    assert rng_graph(PointSet(P)) == rng_naive(pts)
 
 
 @pytest.mark.parametrize(
@@ -734,10 +746,12 @@ def test_uniform_input_takes_no_search(seed, n, monkeypatch):
     monkeypatch.setattr(graphs, "_search_pairs", spy)
     pts = uniform_points(seed=seed, n=n)
     e, Q, tree = graphs._scaled_tree(pts.coords)
-    sure = graphs._candidate_pairs(Q, tree, math.ldexp(1.0, graphs._FLOOR_EXP - e), certify=True)[1]
-    assert sure is not None and sure.any()
+    floor = math.ldexp(1.0, graphs._FLOOR_EXP - e)
+    cand, clean = graphs._candidate_pairs(Q, tree, floor)
+    assert clean and graphs._certified(Q, cand, graphs._ulp_slack(Q, floor)).any()
     gabriel(pts)
-    rng_graph(pts)
+    # a fresh point set, so that rng_graph builds its own candidates
+    rng_graph(PointSet(pts.coords))
     assert rows == []
 
 
@@ -1039,7 +1053,7 @@ class TestYao:
         pts = uniform_points(seed=40 + p, n=3000)
         spec = ConeSpec(p)
         dense = np.unique(_yao_dense(pts.coords, spec), axis=0)
-        knn = np.unique(_yao_knn(pts.coords, spec), axis=0)
+        knn = np.unique(_yao_knn(PointSet(pts.coords), spec), axis=0)
         assert np.array_equal(dense, knn)
         assert yao(pts, spec) == DiGraph(pts.n, dense)
 
@@ -1326,15 +1340,16 @@ class TestYao:
         # points: 4.8 MB traced, and 60 MB with no guard. On the lattice
         # every group has the same box, and so the same radius, which took
         # a first stage joining its runs of one radius to 189 MB traced;
-        # one run per group takes 12 MB
+        # one run per group takes 12 MB. Each call takes a fresh point set,
+        # so that the traced one builds the kd-tree and its leaf layout too
         pts = layout()
         spec = ConeSpec(p)
         t0 = time.perf_counter()
-        yao(pts, spec)
+        yao(PointSet(pts.coords), spec)
         elapsed = time.perf_counter() - t0
         tracemalloc.start()
         try:
-            yao(pts, spec)
+            yao(PointSet(pts.coords), spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1344,6 +1359,14 @@ class TestYao:
 
 # ---------------------------------------------------------------------------
 # working set of the builders
+
+# the builders that share a point set's geometry, in the benchmark's order
+SHARED_BUILDS = {
+    "gabriel": gabriel,
+    "rng": rng_graph,
+    "yao-4": lambda q: yao(q, ConeSpec(4)),
+    "yao-8": lambda q: yao(q, ConeSpec(8)),
+}
 
 
 def batch_layouts():
@@ -1363,14 +1386,15 @@ def batch_layouts():
 @pytest.mark.parametrize("name", list(batch_layouts()))
 def test_edges_do_not_depend_on_batch_size(name, monkeypatch):
     # every kernel decides each row or pair on its own, so the batch and
-    # chunk sizes set only the cost. At 2**8 most batches hold one row
-    pts = PointSet(batch_layouts()[name])
-    builds = [gabriel, rng_graph, lambda q: yao(q, ConeSpec(4)), lambda q: yao(q, ConeSpec(8))]
-    want = [build(pts) for build in builds]
+    # chunk sizes set only the cost. At 2**8 most batches hold one row.
+    # Each build takes a fresh point set: one set would keep the candidates
+    # built at the first size for the builds at the next
+    coords = batch_layouts()[name]
+    want = [build(PointSet(coords)) for build in SHARED_BUILDS.values()]
     for size in (2 ** 8, 2 ** 20):
         monkeypatch.setattr(graphs, "_CHUNK", size)
         monkeypatch.setattr(graphs, "_BLOCK", size)
-        assert [build(pts) for build in builds] == want, size
+        assert [build(PointSet(coords)) for build in SHARED_BUILDS.values()] == want, size
 
 
 def traced_peak(build, pts):
@@ -1394,6 +1418,144 @@ def test_peak_memory_is_linear_in_n(build):
     large = traced_peak(build, uniform_points(seed=61, n=10 ** 5))
     assert small < 8e6
     assert 0.6 < (large / 10) / small < 1.25
+
+
+# ---------------------------------------------------------------------------
+# geometry shared through the point set
+
+
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Calls of Qhull and of the scaled kd-tree's construction."""
+    calls = {"Delaunay": 0, "_scaled_tree": 0}
+
+    def spy(name):
+        real = getattr(graphs, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(graphs, name, spy(name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, coords",
+    [*adversarial_families(), *batch_layouts().items()],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_shared_geometry_matches_fresh_builds(name, coords, geometry_calls):
+    # the builders take the kd-tree, Yao's leaf layout and the candidates
+    # from the point set, in whatever order they run, and each graph equals
+    # its build on a fresh point set. One kd-tree serves all four builders
+    # and one Qhull run (none where every pair is a candidate) gabriel and
+    # rng_graph; the second of these two releases the candidates
+    fresh = {k: build(PointSet(coords)) for k, build in SHARED_BUILDS.items()}
+    assert geometry_calls["_scaled_tree"] == 4
+    qhull = geometry_calls["Delaunay"] // 2
+    for order in (list(SHARED_BUILDS), list(SHARED_BUILDS)[::-1]):
+        geometry_calls.update(Delaunay=0, _scaled_tree=0)
+        pts = PointSet(coords)
+        got = {}
+        for i, k in enumerate(order):
+            got[k] = SHARED_BUILDS[k](pts)
+            taken = {"gabriel", "rng"} & set(order[:i + 1])
+            assert ("candidates" in pts._derived) == (len(taken) == 1), (order, k)
+        assert got == fresh, order
+        assert geometry_calls == {"Delaunay": qhull, "_scaled_tree": 1}, order
+
+
+def test_one_triangulation_for_repeats_and_intersections(geometry_calls):
+    # a repeated build of the first of gabriel and rng_graph leaves the
+    # candidates for the second, and the intersection of the two builds
+    # both parts on one point set, so either triangulates once
+    coords = np.random.default_rng(42).random((3000, 2))
+    g, r = gabriel(PointSet(coords)), rng_graph(PointSet(coords))
+    geometry_calls.update(Delaunay=0, _scaled_tree=0)
+    pts = PointSet(coords)
+    assert gabriel(pts) == g
+    assert gabriel(pts) == g
+    yao(pts, ConeSpec(4))
+    assert "candidates" in pts._derived
+    assert rng_graph(pts) == r
+    assert "candidates" not in pts._derived
+    assert geometry_calls == {"Delaunay": 1, "_scaled_tree": 1}
+    geometry_calls.update(Delaunay=0, _scaled_tree=0)
+    pts = PointSet(coords)
+    both = GraphKind("intersection", parts=(GraphKind("gabriel"), GraphKind("rng")))
+    assert both.build(pts) == intersect(g, r)
+    assert geometry_calls == {"Delaunay": 1, "_scaled_tree": 1}
+    assert "candidates" not in pts._derived
+
+
+def test_shared_geometry_stays_private():
+    # equality, pickling and copies neither compare nor carry the geometry
+    # a point set keeps for its graphs, and nothing in it can be written
+    coords = np.random.default_rng(43).random((2000, 2))
+    pts = PointSet(coords, meta={"seed": 43, "trial": 0})
+    empty = pickle.dumps(pts)
+    gabriel(pts)
+    yao(pts, ConeSpec(4))
+    assert set(pts._derived) == {"tree", "cuts", "candidates"}
+    assert len(pickle.dumps(pts)) == len(empty)
+    assert pts.meta == {"seed": 43, "trial": 0}
+    assert pts == PointSet(coords)
+    for other in (pickle.loads(empty), pickle.loads(pickle.dumps(pts)), copy.copy(pts), copy.deepcopy(pts)):
+        assert other == pts and other.meta == pts.meta
+        assert other._derived == {}
+        with pytest.raises(ValueError, match="read-only"):
+            other.coords[0, 0] = 0.0
+    e, Q, tree = pts._derived["tree"]
+    held = [Q, tree.data, tree.indices, *pts._derived["cuts"], pts._derived["candidates"][0]]
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    assert gabriel(pts) == gabriel(PointSet(coords))
+
+
+def test_shared_geometry_leaves_trials_unchanged():
+    # trials in worker processes give the values of separate builds on
+    # fresh point sets
+    both = GraphKind("intersection", parts=(GraphKind("gabriel"), GraphKind("rng")))
+    cfg = ExperimentConfig(both, Region.unit_square(), 2000, 3, 44, ("max_degree", "edge_count"), workers=2)
+    out = run_trials(cfg)
+    for t, got in enumerate(out.trials):
+        coords = sample_uniform(Region.unit_square(), 2000, trial_generator(44, t)).coords
+        g = intersect(gabriel(PointSet(coords)), rng_graph(PointSet(coords)))
+        assert got.values == {"max_degree": max_degree(g), "edge_count": g.edge_count}
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+def test_shared_geometry_bytes_per_point(n):
+    # traced bytes the point set keeps after each builder, per point: the
+    # kd-tree's points and order, 24 (its nodes live outside Python's
+    # allocator, about 12 more); the candidates while one of gabriel and
+    # rng_graph has taken them, about 96 more; and Yao's leaf layout, 2-3
+    # more. The walk of the tree's nodes runs on a copy: the tree keeps the
+    # node objects it hands out, which held 20-25 more
+    for build in SHARED_BUILDS.values():
+        build(uniform_points(seed=45, n=1000))
+    pts = uniform_points(seed=46, n=n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = []
+        for build in SHARED_BUILDS.values():
+            build(pts)
+            gc.collect()
+            held.append((tracemalloc.get_traced_memory()[0] - base) / n)
+    finally:
+        tracemalloc.stop()
+    with_cand, tree, yao4, yao8 = held
+    assert 100 < with_cand < 140
+    assert 20 < tree < 30
+    assert tree < yao4 < tree + 8
+    assert abs(yao8 - yao4) < 1
 
 
 # ---------------------------------------------------------------------------

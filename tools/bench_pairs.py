@@ -17,7 +17,8 @@ The output file holds every run's result line and the per-pair values,
 and per workload and end-to-end metric: the parent's and the change's
 median and quartiles, the change of the medians relative to the parent,
 the parent's interquartile range over its median, and the number of pairs
-the change won (a lower time or size, a higher ``ok_frac``). A pair also
+the change won (a lower time or size, a higher ``ok_frac``). After each
+pair it prints the change of every end-to-end metric. A pair also
 compares the digests both runs printed for the trials both ran; where
 there are none to compare, ``digests_equal`` is null.
 
@@ -207,8 +208,7 @@ def main(argv=None) -> int:
             }
             pairs.append(pair)
             changes = {m: f"{pair['change'][m] / pair['parent'][m] - 1.0:+.3f}"
-                       for m in ("wall_s", "yao4_trial_s", "yao8_trial_s", "peak_rss_mb")
-                       if pair["parent"].get(m) and m in pair["change"]}
+                       for m in metrics if pair["parent"].get(m) and m in pair["change"]}
             print(f"{w} seed {seed} ({first} first): digests equal {pair['digests_equal']} "
                   f"over {pair['digests_compared']}; {changes}", flush=True)
     record = {
