@@ -135,14 +135,15 @@ surviving edge's ends are the two nearest, so the third decides, and
 four for the relative neighborhood graph, whose lune's ball holds more
 points.
 
-Certificate. ``gabriel`` keeps a shared edge of the triangulation with
-no test at all, neither opposite vertex nor query, when the
-triangulation proves its disk empty under the raw predicate. Below, e =
-2**-53 is the unit roundoff, and lengths are in the scaled points Q,
-whose geometry is the input's (a coordinate that turns subnormal moves
-by at most 2**-1075, which the band below covers). Underflow adds an
-absolute error of at most 2**-1075 to an operation; the least edge
-length below makes that negligible against every allowance.
+Certificate. ``gabriel`` and ``rng_graph`` keep a shared edge of the
+triangulation with no test at all, neither opposite vertex nor query,
+when the triangulation proves its disk, or its lune, empty under the raw
+predicate. Below, e = 2**-53 is the unit roundoff, and lengths are in
+the scaled points Q, whose geometry is the input's (a coordinate that
+turns subnormal moves by at most 2**-1075, which the band below covers).
+Underflow adds an absolute error of at most 2**-1075 to an operation;
+the least edge length below makes that negligible against every
+allowance.
 
 The global precondition, checked once per call: Qhull dropped no point;
 the incircle value of every shared edge is below minus its allowance,
@@ -175,7 +176,7 @@ of uvw. By the Delaunay lemma, a triangulation whose every shared edge
 is locally Delaunay has no point inside any circumcircle, under this
 module's assumption that Qhull's triangles tile the hull of the points,
 each a vertex; the precondition checks that locally, at every edge.
-Two facts follow, in exact arithmetic:
+Three facts follow, in exact arithmetic:
 
 1. No point is nearer to a point u than u's shortest edge. Another point
    q lies in the hull, so the segment uq leaves u within the angle at u
@@ -193,6 +194,26 @@ Two facts follow, in exact arithmetic:
    r)**2 + 2b**2, as |a| >= |x| - b**2 / |x|. The same holds below uv
    with w'. With beta = 0, the open diametral disk holds no point: each
    half lies inside a circumdisk.
+3. Put u, v, w and h as in 2, with the angle at w at most 60 degrees, and
+   let x = (a, b), a <= 0 <= b, lie outside the open disk of uvw, with
+   |x - v| < 2r + beta. Write x - u = (p, b), s = |x - u|, and phi for
+   the angle between x - u and v - u. Outside the disk, s**2 >= 2pr +
+   2bh; inside the circle about v, s**2 - 4pr < 4r beta + beta**2. If p
+   <= 0, these give bh + |p| r < rq, q = 2 beta + beta**2 / |uv|, so
+   (|p|, b) lies in the triangle with vertices 0, (q, 0) and (0, q
+   tan(w)), where the convex s**2 is largest at a vertex: s < q max(1,
+   tan(w)). If p > 0, outside the disk s >= 2r sin(phi + w) / sin(w), so
+   p = s cos(phi) <= r, as a <= 0, needs sin(2 phi + w) <= 0, that is
+   phi >= (pi - w) / 2, which is at least w. Then s - 4r
+   cos(phi) >= 2r sin(phi - w) / sin(w) >= 0, and the circle about v, s
+   (s - 4r cos(phi)) < 4r beta + beta**2, gives sin(phi) < k sin(w), k =
+   1 + beta / |uv|; as sin(phi) >= cos(w / 2), that needs sin(w / 2) > 1
+   / 2k. So where sin(w / 2) <= 1 / 2k, that is tan(w) <= sqrt(4k**2 -
+   1) / (2k**2 - 1), x lies within q max(1, tan(w)) of u. The same holds
+   for a >= 0 with u and v swapped, and below uv with w'. With beta = 0,
+   the open lune holds no point when both angles opposite uv are at most
+   60 degrees: each half lies inside a circumdisk, as every point of the
+   half sees uv at more than 60 degrees.
 
 The raw predicate, with its rounded midpoint and duv2 / 4, holds for a
 point x only within r + beta of the exact midpoint, beta = slack +
@@ -209,20 +230,30 @@ tan(w) and tan(w'). By fact 1 there is none when u's and v's shortest
 edges are longer than rho, and so none when the triangulation's shortest
 edge is: one bound for every edge, with no pass over each point's edges.
 
-A shared edge is certified when both angles are acute by a margin, each
-dot product above 1e-12 L**2; the tangents are bounded above from the
-float dot and cross products with that error; and the shortest edge,
-squared, times 1 - 1e-9, exceeds rho**2 times 1 + 1e-9, margins that
-cover the rounding of these bounds. Hull edges and pairs from the search
-are never certified, nor is any pair where the precondition fails.
+A shared edge is certified for ``gabriel`` when both angles are acute by
+a margin, each dot product above 1e-12 L**2; the tangents are bounded
+above from the float dot and cross products with that error; and the
+shortest edge, squared, times 1 - 1e-9, exceeds rho**2 times 1 + 1e-9,
+margins that cover the rounding of these bounds. Hull edges and pairs
+from the search are never certified, nor is any pair where the
+precondition fails.
 
-``rng_graph`` certifies nothing. Its lune does not lie inside the two
-circumdisks in general, but each half, the lune's part on one side of
-the edge, does lie inside the closed circumdisk on that side when the
-angle opposite the edge on that side is below 60 degrees: every point of
-the half sees the edge at 60 degrees or more, and the circumdisk holds
-every point on that side that sees it at more than the opposite angle.
-No rule uses this yet; its rounding argument is unwritten.
+The raw lune predicate holds for a point x only where |ux| and |vx| are
+below |uv| + beta, by the same bounds with no midpoint: each squared
+distance rounds by a relative 4.01e at most, and underflow moves a
+distance by at most 2**-535 input units. So where both angles pass fact
+3's bound, a point other than u and v inside uv's lune, under the raw
+predicate, lies within rho' = q max(1, tan) of u or v, tan the larger of
+tan(w) and tan(w'), and by fact 1 there is none when the shortest edge
+is longer than rho'. A shared edge the Gabriel rule certifies is
+certified for ``rng_graph`` too when the tangents' bound, squared, times
+(2k**2 - 1)**2 (1 + 1e-9), is below 4k**2 - 1, and the shortest edge,
+squared, times 1 - 1e-9, exceeds rho'**2 times 1 + 1e-9. Both sides of
+the angle test round by a few e, with no cancellation as k >= 1, and the
+margin covers that and the rounding of k and q. The bound puts each angle
+below 60 degrees by about 8/3 beta / |uv| of its tangent, about 1e-11 on
+uniform points, and the margin by 5e-10 more: the angles of an
+equilateral triangle, within rounding of 60 degrees, never pass.
 
 Yao. ``yao`` takes one path at every size, visiting points in the
 kd-tree's leaf order. The tree indexes the points scaled by a power of
@@ -360,17 +391,19 @@ references.
 The graphs built on one ``PointSet`` share what the builders derive from
 its points alone, kept in the point set's private slot: Q and its
 kd-tree, built by the first builder to run; Yao's leaf layout, built by
-the first ``yao`` call at any p; and the candidates, with whether the
-certificate may take them, built by the first of ``gabriel`` and
-``rng_graph`` and released when the other takes them. Each ``gabriel``
-call computes the certificate itself, so a lone ``rng_graph`` never
-does. Each is what a call on a fresh point set computes, and read-only,
-so the edges do not depend on the order of the calls. Traced, on uniform
-points at 1e4 and 1e5, the slot holds 24 bytes per point for Q and the
-tree's order (the tree's nodes, allocated outside Python, add about 12),
-120 while the candidates are kept, and 26-27 with Yao's layout. The walk
-that builds the layout runs on a copy of the tree, which would keep the
-node objects it hands out, another 20-25 bytes per point.
+the first ``yao`` call at any p; and the candidates, with the rows the
+certificate keeps for each of the two graphs, built by the first of
+``gabriel`` and ``rng_graph`` and released when the other takes them.
+One sweep over the triangulation's edges gives both graphs' rows, so a
+lone ``rng_graph`` runs it too, and the second graph takes its rows from
+the first. Each is what a call on a fresh point set computes, and
+read-only, so the edges do not depend on the order of the calls. Traced,
+on uniform points at 1e4 and 1e5, the slot holds 24 bytes per point for
+Q and the tree's order (the tree's nodes, allocated outside Python, add
+about 12), 126 while the candidates and both graphs' rows are kept, and
+26-27 with Yao's layout. The walk that builds the layout runs on a copy
+of the tree, which would keep the node objects it hands out, another
+20-25 bytes per point.
 """
 
 from __future__ import annotations
@@ -655,8 +688,8 @@ def _full_test(P, Q, tree, cand, kind, slack, sure=None):
     witnesses to try first: the vertices opposite the pair in the
     triangulation, or u as a placeholder. Returns a keep mask.
 
-    Rows marked in ``sure`` (None for none) are certified Gabriel edges
-    (``_certified``): they are kept untested, with no witness tried and no
+    Rows marked in ``sure`` (None for none) are certified edges of the
+    graph (``_certified``): they are kept untested, with no witness tried and no
     query. ``Q`` is P scaled by a power of two and ``tree`` indexes it; the
     predicates run on P itself. A pair with a or b inside its region is
     dead. Of the rest, the region lies inside a ball around the rounded
@@ -796,13 +829,13 @@ def _folded(P, T):
 
 
 def _certified(P, cand, slack):
-    """Which candidates are Gabriel edges of P with no test, by the
-    certificate of the module docstring; all False unless the rest of its
-    global precondition holds. ``cand`` holds every edge of a triangulation
-    that kept every point once, as (u, v, w, w'), w' = u on the hull, and
-    every shared edge's incircle value is below minus its allowance, whose
-    coordinate uncertainty is ``slack``."""
-    sure = np.zeros(len(cand), dtype=bool)
+    """Which candidates are edges of P with no test, by the certificate of
+    the module docstring: {GABRIEL: mask, RNG: mask}, the second inside the
+    first, or None unless the rest of its global precondition holds.
+    ``cand`` holds every edge of a triangulation that kept every point once,
+    as (u, v, w, w'), w' = u on the hull, and every shared edge's incircle
+    value is below minus its allowance, whose coordinate uncertainty is
+    ``slack``."""
     # a shared edge has a vertex opposite it on both sides
     shared = np.flatnonzero(cand[:, 3] != cand[:, 0])
     # gathers from the column views beat indexing P by rows
@@ -814,8 +847,10 @@ def _certified(P, cand, slack):
     # none is nearer than the shortest edge of all
     near2 = len2.min()
     if near2 < _CERT_TINY:
-        return sure
+        return None
     near2 *= 1.0 - _CERT_MARGIN
+    sure = np.zeros(len(cand), dtype=bool)
+    lune = np.zeros(len(cand), dtype=bool)
     step = _CHUNK // 8
     for lo in range(0, len(shared), step):
         rows = shared[lo:lo + step]
@@ -836,16 +871,25 @@ def _certified(P, cand, slack):
         # covers the rounding of every dot and cross product of the edge
         err = _CERT_REL * np.maximum(far, far_)
         if not ((np.abs(cross) > err) & (np.abs(cross_) > err) & ((cross < 0.0) != (cross_ < 0.0))).all():
-            return np.zeros(len(cand), dtype=bool)
+            return None
         with np.errstate(divide="ignore", invalid="ignore"):
             acute = (dot > err) & (dot_ > err)
             tan = np.maximum((np.abs(cross) + err) / (dot - err), (np.abs(cross_) + err) / (dot_ - err))
             duv = np.sqrt(len2[rows])
             band = slack + _CERT_REL * duv
-            high = band * (1.0 + band / duv) * tan
+            k = 1.0 + band / duv
+            high = band * k * tan
             reach2 = (band * band + 2.0 * high * high) * (1.0 + _CERT_MARGIN)
-        sure[rows] = acute & (near2 > reach2)
-    return sure
+            ok = acute & (near2 > reach2)
+            # the lune (fact 3): both angles below 60 degrees by a margin
+            # that grows with k, and a reach of its own
+            k2 = k * k
+            sixty = tan * tan * (2.0 * k2 - 1.0) ** 2 * (1.0 + _CERT_MARGIN) < 4.0 * k2 - 1.0
+            q = band * (1.0 + k)
+            lune2 = q * q * np.maximum(1.0, tan * tan) * (1.0 + _CERT_MARGIN)
+        sure[rows] = ok
+        lune[rows] = ok & sixty & (near2 > lune2)
+    return {GABRIEL: sure, RNG: lune}
 
 
 def _kills(P, u, v, w, margin):
@@ -1024,24 +1068,30 @@ def _kept(points: PointSet, key, make):
     return derived[key]
 
 
-def _candidates(points: PointSet, kind, Q, tree, floor):
-    """The candidates of ``points`` and whether ``_certified`` may take
-    them. The first of the two graphs to ask builds them and leaves them in
-    the point set's slot for the other, which releases them."""
+def _candidates(points: PointSet, kind, Q, tree, floor, slack):
+    """The candidates of ``points`` and the rows of them the certificate
+    keeps for ``kind`` untested, or None. The first of the two graphs to ask
+    builds the candidates and both graphs' rows, and leaves them in the
+    point set's slot for the other, which releases them."""
     derived = points._derived
     got = derived.get("candidates")
     if got is None:
+        sure = None
         if np.ptp(points.coords, axis=0).max() >= 2.0 ** _OVERFLOW_EXP:
             # the raw squared distances overflow and stop following the
             # geometry, so every pair is a candidate
-            cand, clean = _all_pairs(len(Q)), False
+            cand = _all_pairs(len(Q))
         else:
             cand, clean = _candidate_pairs(Q, tree, floor)
-        cand.setflags(write=False)
-        got = derived["candidates"] = (cand, clean, kind)
+            if clean:
+                sure = _certified(Q, cand, slack)
+        for a in (cand, *(sure or {}).values()):
+            a.setflags(write=False)
+        got = derived["candidates"] = (cand, sure, kind)
     elif got[2] != kind:
         del derived["candidates"]
-    return got[:2]
+    cand, sure, _ = got
+    return cand, None if sure is None else sure[kind]
 
 
 def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
@@ -1054,8 +1104,7 @@ def _proximity_edges(points: PointSet, kind: str) -> np.ndarray:
     floor = math.ldexp(1.0, _FLOOR_EXP - e)
     slack = _ulp_slack(Q, floor)
     with np.errstate(over="ignore"):
-        cand, clean = _candidates(points, kind, Q, tree, floor)
-        sure = _certified(Q, cand, slack) if clean and kind == GABRIEL else None
+        cand, sure = _candidates(points, kind, Q, tree, floor, slack)
         keep = _full_test(P, Q, tree, cand, kind, slack, sure)
     return cand[keep, :2]
 

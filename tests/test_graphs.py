@@ -507,6 +507,19 @@ def adversarial_families():
         [0.41180529703747426, 0.30763247873879906],
     ])
 
+    # an equilateral triangular lattice, whose every angle lies within
+    # rounding of 60 degrees, where half a lune leaves the circumdisk on its
+    # side: the raw lune predicate drops 129 of its 616 edges, and 300 once
+    # the points off its hull move by about 1e-12 of the span, which keeps
+    # the triangulation strictly Delaunay, so that the certificate runs
+    tx, ty = np.meshgrid(np.arange(15.0), np.arange(15.0))
+    triangular = np.column_stack([((tx + (ty % 2) / 2.0) / 15.0).ravel(), (ty * math.sqrt(3.0) / 30.0).ravel()])
+    inner = ((tx > 0) & (tx < 14) & (ty > 0) & (ty < 14)).ravel()
+    fams["triangular"] = triangular
+    fams["triangular-jittered"] = triangular.copy()
+    fams["triangular-jittered"][inner] += np.random.default_rng(1).normal(0.0, 1e-12, (inner.sum(), 2))
+    fams["triangular-2pow332"] = np.ldexp(triangular, 332)
+
     return sorted(fams.items())
 
 
@@ -539,6 +552,26 @@ def test_fast_builders_match_references(name, coords):
         assert fast_disk == gabriel_naive(pts)
         assert fast_lune == rng_naive(pts)
     assert len(edge_set(fast_lune) - edge_set(fast_disk)) == LUNE_OUTSIDE_DISK.get(name, 0)
+
+
+@pytest.mark.parametrize(
+    "name, coords",
+    [*adversarial_families(), *((f"uniform-1000-seed-{s}", uniform_points(seed=s, n=1000).coords) for s in (27, 28, 29))],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_certified_rows_are_reference_edges(name, coords):
+    # every pair the triangulation certifies for rng_graph, and so keeps
+    # with no test, is an edge of the reference, and is certified for
+    # gabriel too
+    pts = PointSet(coords)
+    rng_graph(pts)
+    cand, sure, _ = pts._derived["candidates"]
+    if sure is None:
+        return
+    assert not (sure[graphs.RNG] & ~sure[graphs.GABRIEL]).any()
+    lune = cand[sure[graphs.RNG], :2]
+    if len(lune):
+        assert set(map(tuple, np.sort(lune, axis=1).tolist())) <= edge_set(rng_naive(pts))
 
 
 def dense_square():
@@ -636,6 +669,17 @@ def test_opposite_vertices_spare_nearest_queries(query_rows):
     g = gabriel(pts)
     assert 0 < sum(query_rows) < 0.75 * delaunay_edge_count(pts)
     assert g == gabriel_naive(pts)
+
+
+def test_rng_certificate_spares_nearest_queries(query_rows):
+    # the triangulation certifies the relative-neighborhood edges whose
+    # opposite angles both lie below 60 degrees, most of them, so fewer than
+    # a quarter of the edges reach the query (187-231 rows of about 1,780
+    # edges on seeds 20-29 at 600 points; 749-766 with no certificate)
+    pts = uniform_points(seed=24, n=600)
+    g = rng_graph(pts)
+    assert 0 < sum(query_rows) < 0.25 * delaunay_edge_count(pts)
+    assert g == rng_naive(pts)
 
 
 def test_certificate_spares_nearest_queries(query_rows):
@@ -748,7 +792,8 @@ def test_uniform_input_takes_no_search(seed, n, monkeypatch):
     e, Q, tree = graphs._scaled_tree(pts.coords)
     floor = math.ldexp(1.0, graphs._FLOOR_EXP - e)
     cand, clean = graphs._candidate_pairs(Q, tree, floor)
-    assert clean and graphs._certified(Q, cand, graphs._ulp_slack(Q, floor)).any()
+    assert clean
+    assert all(sure.any() for sure in graphs._certified(Q, cand, graphs._ulp_slack(Q, floor)).values())
     gabriel(pts)
     # a fresh point set, so that rng_graph builds its own candidates
     rng_graph(PointSet(pts.coords))
@@ -1510,7 +1555,8 @@ def test_shared_geometry_stays_private():
         with pytest.raises(ValueError, match="read-only"):
             other.coords[0, 0] = 0.0
     e, Q, tree = pts._derived["tree"]
-    held = [Q, tree.data, tree.indices, *pts._derived["cuts"], pts._derived["candidates"][0]]
+    cand, sure, _ = pts._derived["candidates"]
+    held = [Q, tree.data, tree.indices, *pts._derived["cuts"], cand, *sure.values()]
     for a in held:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
@@ -1533,10 +1579,11 @@ def test_shared_geometry_leaves_trials_unchanged():
 def test_shared_geometry_bytes_per_point(n):
     # traced bytes the point set keeps after each builder, per point: the
     # kd-tree's points and order, 24 (its nodes live outside Python's
-    # allocator, about 12 more); the candidates while one of gabriel and
-    # rng_graph has taken them, about 96 more; and Yao's leaf layout, 2-3
-    # more. The walk of the tree's nodes runs on a copy: the tree keeps the
-    # node objects it hands out, which held 20-25 more
+    # allocator, about 12 more); the candidates, with both graphs'
+    # certified rows, while one of gabriel and rng_graph has taken them,
+    # about 102 more; and Yao's leaf layout, 2-3 more. The walk of the
+    # tree's nodes runs on a copy: the tree keeps the node objects it hands
+    # out, which held 20-25 more
     for build in SHARED_BUILDS.values():
         build(uniform_points(seed=45, n=1000))
     pts = uniform_points(seed=46, n=n)

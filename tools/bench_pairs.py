@@ -16,8 +16,13 @@ used while writing the change.
 The output file holds every run's result line and the per-pair values,
 and per workload and end-to-end metric: the parent's and the change's
 median and quartiles, the change of the medians relative to the parent,
-the parent's interquartile range over its median, and the number of pairs
-the change won (a lower time or size, a higher ``ok_frac``). After each
+the parent's interquartile range over its median, the number of pairs
+the change won (a lower time or size, a higher ``ok_frac``; a tie counts
+for neither side), and two verdicts. ``claim_met``: the change won at
+least 9 in 10 of the pairs run, and its median beats the parent's by more
+than the parent's interquartile range. ``regressed``: its median is worse
+than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``, taken as a fraction of the parent's median. After each
 pair it prints the change of every end-to-end metric. A pair also
 compares the digests both runs printed for the trials both ran; where
 there are none to compare, ``digests_equal`` is null.
@@ -115,15 +120,17 @@ def quartiles(values):
 
 def summarise(pairs, metrics) -> dict:
     """Per end-to-end metric: medians, quartiles, relative change of the
-    medians, the parent's IQR over its median and the pairs the change
-    won. ``metrics`` maps each name to "lower" or "higher"."""
+    medians, the parent's IQR over its median, the pairs the change won and
+    the verdicts ``claim_met`` and ``regressed`` (module docstring).
+    ``metrics`` maps each name to its entry of the benchmark's end-to-end
+    list, whose "better" is "lower" or "higher" and "bound" a fraction."""
     compared = [p["digests_equal"] for p in pairs if p["digests_compared"]]
     out = {
         "pairs": len(pairs),
         "digests_compared": sum(p["digests_compared"] for p in pairs),
         "digests_equal": all(compared) if compared else None,
     }
-    for name, better in metrics.items():
+    for name, metric in metrics.items():
         both = [(p["parent"][name], p["change"][name]) for p in pairs
                 if name in p["parent"] and name in p["change"]]
         if not both:
@@ -132,7 +139,10 @@ def summarise(pairs, metrics) -> dict:
         chg = [b for _, b in both]
         pq1, pmed, pq3 = quartiles(par)
         cq1, cmed, cq3 = quartiles(chg)
-        won = sum((b < a) if better == "lower" else (b > a) for a, b in both)
+        lower = metric["better"] == "lower"
+        won = sum((b < a) if lower else (b > a) for a, b in both)
+        # how far the change's median is better than the parent's
+        gain = pmed - cmed if lower else cmed - pmed
         out[name] = {
             "parent_median": pmed, "parent_q1": pq1, "parent_q3": pq3,
             "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
@@ -140,6 +150,9 @@ def summarise(pairs, metrics) -> dict:
             "parent_iqr_over_median": (pq3 - pq1) / pmed if pmed else None,
             "per_pair_change": [b / a - 1.0 if a else None for a, b in both],
             "pairs_change_won": won,
+            # a pair whose run failed counts against the claim
+            "claim_met": 10 * won >= 9 * len(pairs) and gain > pq3 - pq1,
+            "regressed": -gain > metric["bound"] * abs(pmed),
         }
     return out
 
@@ -150,7 +163,7 @@ def _values(run) -> dict:
 
 
 def _metrics(bench) -> dict:
-    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+    return {m["name"]: m for m in bench["end_to_end"]}
 
 
 def merge(paths, out: Path) -> int:
